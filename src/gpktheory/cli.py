@@ -51,7 +51,7 @@ from .presentation import (
     RelationElem,
     build_algebra,
 )
-from .rep import Representation
+from .rep import FieldUnsupported, Representation
 from .waldhausen import build_wdata, k0_oracle
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -690,10 +690,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         out, lines, code = args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (CliError, ValueError, FieldUnsupported) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:

@@ -41,10 +41,6 @@ class FieldSpec:
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
 
     @property
-    def is_finite(self) -> bool:
-        return self.char != 0
-
-    @property
     def label(self) -> str:
         return f"GF({self.char})" if self.char else "QQ"
 
@@ -219,6 +215,40 @@ def _rref_fp(a: np.ndarray, p: int):
     return a[:r], pivots
 
 
+def rref_stack_fp(a: np.ndarray, p: int):
+    """Canonical RREF of every matrix in an (N, r, c) stack over GF(p).
+
+    Returns (red, ranks): red[k, :ranks[k]] equals rref(a[k])'s rows and
+    the rows below are zero, so red[k].tobytes() is a canonical key of the
+    row space among matrices of one shape.  One vectorized elimination
+    step per column serves the whole stack.
+    """
+    a = a.astype(np.int64) % p
+    n, nrows, ncols = a.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    if not (n and nrows and ncols):
+        return a, ranks
+    row_ids = np.arange(nrows)
+    for c in range(ncols):
+        open_nz = (a[:, :, c] != 0) & (row_ids >= ranks[:, None])
+        ks = np.nonzero(open_nz.any(axis=1))[0]
+        if ks.size == 0:
+            continue
+        src = open_nz[ks].argmax(axis=1)
+        dst = ranks[ks]
+        pivot_rows = a[ks, src]
+        a[ks, src] = a[ks, dst]
+        vals, where = np.unique(pivot_rows[:, c], return_inverse=True)
+        invs = np.array([pow(int(x), p - 2, p) for x in vals], dtype=np.int64)
+        pivot_rows = (pivot_rows * invs[where][:, None]) % p
+        a[ks, dst] = pivot_rows
+        factors = a[ks, :, c]
+        factors[np.arange(ks.size), dst] = 0
+        a[ks] = (a[ks] - factors[:, :, None] * pivot_rows[:, None, :]) % p
+        ranks[ks] += 1
+    return a, ranks
+
+
 def _rref_qq(a: np.ndarray):
     rows = [[Fraction(x) for x in row] for row in a]
     nrows = len(rows)
@@ -360,14 +390,6 @@ def invert(field: FieldSpec, a: np.ndarray):
         return None
     x = solve_matrix(field, a, field.eye(n))
     return x
-
-
-def row_space_bytes(field: FieldSpec, a: np.ndarray) -> bytes:
-    """Canonical byte key of a row space (RREF serialized)."""
-    red, pivots = rref(field, a)
-    if field.char:
-        return red.tobytes() + bytes(str(pivots), "ascii")
-    return repr([[str(x) for x in row] for row in red]).encode()
 
 
 # ---------------------------------------------------------------------------

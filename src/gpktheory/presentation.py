@@ -192,17 +192,11 @@ class FiniteDimAlgebra:
             self._verify()
 
     # ------------------------------------------------------------------
-    def source_of(self, i: int) -> str:
-        return self.basis[i].source
-
     def target_of(self, i: int) -> str:
         return self.basis[i].target
 
     def paths_with_source(self, v: str):
         return [i for i, p in enumerate(self.basis) if p.source == v]
-
-    def paths_with_target(self, v: str):
-        return [i for i, p in enumerate(self.basis) if p.target == v]
 
     def mult_basis(self, i: int, j: int):
         """Sparse product basis[i] * basis[j] (j acts first)."""
@@ -472,10 +466,3 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     a._op = op
     return op
 
-
-def algebra_from_table(field, quiver, basis, mult, relations, nilpotency,
-                       is_monomial, max_len) -> FiniteDimAlgebra:
-    """Factory for algebras whose product table is assembled directly."""
-    return FiniteDimAlgebra(
-        field, quiver, basis, mult, relations, nilpotency, is_monomial, max_len
-    )

@@ -80,16 +80,6 @@ class Representation:
             cur = f.matmul(self.maps[lab], cur)
         return cur
 
-    def element_matrix(self, x: dict, src: str, tgt: str) -> np.ndarray:
-        """Action of a sparse algebra element between two vertex components."""
-        f = self.field
-        out = f.zeros((self.dims[tgt], self.dims[src]))
-        for i, c in x.items():
-            p = self.algebra.basis[i]
-            if p.source == src and p.target == tgt:
-                out = f.add(out, f.scale(c, self.path_matrix(p)))
-        return out
-
     def key(self) -> bytes:
         if self._key is None:
             bits = [repr(self.dim_vector).encode()]
@@ -875,7 +865,8 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: in
         return False, None
     f = m.field
     if f.char and f.char ** hs.dim <= 4096:
-        for coeffs in _all_coeff_vectors(f.char, hs.dim):
+        # isomorphy survives nonzero scalars, so one vector per line suffices
+        for coeffs in _line_coeff_vectors(f.char, hs.dim):
             cand = hs.element(coeffs)
             if cand.is_iso():
                 return True, cand
@@ -903,6 +894,19 @@ def _all_coeff_vectors(p: int, n: int):
             out.append(v % p)
             v //= p
         yield out
+
+
+def _line_coeff_vectors(p: int, n: int):
+    """One nonzero vector per line of GF(p)^n: those whose last nonzero entry
+    is 1, in the increasing base-p order of `_all_coeff_vectors`.
+
+    Each is the first of its nonzero scalar multiples in that order, so a
+    search for a scalar-invariant property finds the same first hit here
+    as in the full enumeration.
+    """
+    for k in range(n):
+        for head in _all_coeff_vectors(p, k):
+            yield head + [1] + [0] * (n - k - 1)
 
 
 def _invariant_battery(m: Representation):

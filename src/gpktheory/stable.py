@@ -7,6 +7,7 @@ projective lifts along the cover epi, so the cover suffices).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -16,7 +17,7 @@ from .gorenstein import certify_gp
 from .rep import (
     Morphism,
     Representation,
-    _all_coeff_vectors,
+    _line_coeff_vectors,
     decompose,
     direct_sum,
     hom_basis,
@@ -247,7 +248,12 @@ def _witness_search(m: Representation, n: Representation, seed: int):
 
     exhaustive = bool(field.char) and field.char**e <= EXHAUSTIVE_CAP
     if exhaustive:
-        candidates = (lift(c) for c in _all_coeff_vectors(field.char, e))
+        # f and c*f (c != 0) are stably invertible together, so the zero map
+        # plus one vector per line covers every class
+        candidates = (
+            lift(c)
+            for c in chain([[0] * e], _line_coeff_vectors(field.char, e))
+        )
     else:
         rng = Random(seed)
         pool = [zero_morphism(m, n)] + list(coset)

@@ -6,10 +6,13 @@ truncated by multiplicity and total dimension.  Cofibrations are
 monomorphisms whose cokernel decomposes into catalog items and projectives
 (certified).  The mono search is exhaustive whenever the hom space is small
 enough and otherwise falls back to the canonical split inclusion only, with
-the skip reported — never randomly sampled.  Weak equivalence classes are
-projective-stripped summand multisets.  All of this is independent of the
-relation-harvesting route in the ktheory module; agreement of the two
-groups is the repository's central cross-check.
+the skip reported — never randomly sampled.  The exhaustive search runs
+over maps up to nonzero scalars, one representative per line, and tests
+them all in one stacked row reduction per vertex; it finds the same
+cofibrations and notes as a search over every map.  Weak equivalence
+classes are projective-stripped summand multisets.  All of this is
+independent of the relation-harvesting route in the ktheory module;
+agreement of the two groups is the repository's central cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +27,8 @@ from .ktheory import CatalogUnknown
 from .rep import (
     Morphism,
     Representation,
-    _all_coeff_vectors,
     _invariant_battery,
+    _line_coeff_vectors,
     cokernel,
     decompose,
     direct_sum,
@@ -225,42 +228,46 @@ def build_wdata(catalog: GPCatalog, depth: int = 2) -> FiniteWaldhausenData:
     return data
 
 
-def _image_key(f_spec, mor: Morphism) -> bytes:
-    chunks = []
-    for v in mor.domain.algebra.quiver.vertices:
-        chunks.append(exactla.row_space_bytes(f_spec, mor.blocks[v].T))
-    return b"|".join(chunks)
-
-
 def _exhaustive_cofibrations(data, x: WObject, y: WObject, h: int):
-    """All monos x.rep >-> y.rep with admissible cokernel, one per image."""
-    f = data.algebra.field
+    """All monos x.rep >-> y.rep with admissible cokernel, one per image.
+
+    A map and its nonzero multiples share mono-ness and image, and the
+    line representatives of `_line_coeff_vectors` come first in their
+    lines, so scanning them finds the same first map per image as scanning
+    every coefficient vector.
+    """
+    p = data.algebra.field.char
     verts = data.algebra.quiver.vertices
     hs = hom_basis(x.rep, y.rep)
     assert hs.dim == h
-    coeff_mat = np.array(list(_all_coeff_vectors(f.char, h)), dtype=np.int64)
-    # all candidate blocks at once: (num_candidates, n_v, m_v) per vertex
+    coeff_mat = np.array(list(_line_coeff_vectors(p, h)), dtype=np.int64)
+    # all candidate blocks at once: (num_candidates, n_v, m_v) per vertex;
+    # with h == 0 the zero map is the only candidate
     stacks = {}
     for v in verts:
         if h:
             tensor = np.stack([b.blocks[v] for b in hs.basis])
-            stacks[v] = np.tensordot(coeff_mat, tensor, axes=(1, 0)) % f.char
+            stacks[v] = np.tensordot(coeff_mat, tensor, axes=(1, 0)) % p
         else:
             stacks[v] = np.zeros(
                 (1, y.rep.dims[v], x.rep.dims[v]), dtype=np.int64
             )
+    # one elimination per vertex on the transposed blocks gives each
+    # candidate's rank (mono iff it equals dim x_v) and its image's RREF
+    mono = np.ones(len(stacks[verts[0]]), dtype=bool)
+    images = []
+    for v in verts:
+        red, ranks = exactla.rref_stack_fp(stacks[v].transpose(0, 2, 1), p)
+        mono &= ranks == x.rep.dims[v]
+        images.append(red.reshape(len(red), -1))
+    image_keys = np.concatenate(images, axis=1)
     seen = set()
-    for idx in range(coeff_mat.shape[0] if h else 1):
-        blocks = {v: stacks[v][idx] for v in verts}
-        if any(
-            exactla.rank_of(f, blocks[v]) != x.rep.dims[v] for v in verts
-        ):
-            continue
-        cand = Morphism(x.rep, y.rep, blocks)
-        key = _image_key(f, cand)
+    for idx in np.nonzero(mono)[0]:
+        key = image_keys[idx].tobytes()
         if key in seen:
             continue
         seen.add(key)
+        cand = Morphism(x.rep, y.rep, {v: stacks[v][idx] for v in verts})
         coker, q = cokernel(cand)
         cls = _weak_class(data, coker)
         if cls is None:

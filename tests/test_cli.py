@@ -254,6 +254,15 @@ def test_missing_file_exits_one():
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "gp", "k0", "k1", "oracle-k0"])
+def test_rational_field_exits_one_without_traceback(command):
+    code, out, err = run([command, "kx2.alg", "--field", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite prime field" in err
+
+
 def test_json_output_is_byte_reproducible():
     runs = [run(["analyze", "example61A.alg", "--json", "--seed", "0"]) for _ in range(2)]
     assert runs[0] == runs[1]

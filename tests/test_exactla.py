@@ -15,8 +15,8 @@ from gpktheory.exactla import (
     kernel,
     rank_kernel,
     rank_of,
-    row_space_bytes,
     rref,
+    rref_stack_fp,
     smith_normal_form,
     solve,
     solve_matrix,
@@ -76,7 +76,42 @@ def test_row_space_key_ignores_row_operations():
         a = GF3.random_matrix(rng, (3, 4))
         b = a[::-1].copy()
         b[0] = (b[0] + 2 * b[1]) % 3
-        assert row_space_bytes(GF3, a) == row_space_bytes(GF3, b)
+        red, _ = rref_stack_fp(np.stack([a, b]), 3)
+        assert red[0].tobytes() == red[1].tobytes()
+
+
+def _stack_cases(rng, p):
+    """Seeded stacks with zero-row, zero-column, all-zero, full-rank and
+    repeated-row members alongside random ones."""
+    f = FieldSpec(p)
+    for shape in [(0, 3), (3, 0), (1, 1), (2, 5), (4, 4), (5, 3)]:
+        n = 12
+        stack = np.stack([f.random_matrix(rng, shape) for _ in range(n)])
+        r, c = shape
+        if r and c:
+            stack[0] = 0
+            stack[1, 0] = 0  # a zero row
+            stack[2, :, 0] = 0  # a zero column
+            stack[3, -1] = stack[3, 0]  # a repeated row
+            stack[4, -1] = (2 * stack[4, 0]) % p
+            k = min(r, c)
+            stack[5] = 0
+            stack[5, range(k), range(k)] = rng.randrange(1, p)  # full rank
+        yield stack
+
+
+def test_rref_stack_matches_rref():
+    rng = Random(8)
+    for p in (2, 3, 5, 7):
+        f = FieldSpec(p)
+        for stack in _stack_cases(rng, p):
+            red, ranks = rref_stack_fp(stack, p)
+            assert red.shape == stack.shape
+            for k in range(len(stack)):
+                rows, pivots = rref(f, stack[k])
+                assert ranks[k] == len(pivots) == rank_of(f, stack[k])
+                assert (red[k, : ranks[k]] == rows).all()
+                assert (red[k, ranks[k]:] == 0).all()
 
 
 def test_kernel_annihilates_and_dimensions_add():

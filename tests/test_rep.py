@@ -5,7 +5,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from gpktheory.exactla import FieldSpec
+from gpktheory import rep
+from gpktheory.exactla import FieldSpec, invert
 from gpktheory.presentation import opposite
 from gpktheory.rep import (
     FieldUnsupported,
@@ -214,6 +215,53 @@ def test_is_isomorphic_twisted():
     not_g = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
     ok, _ = is_isomorphic(g, not_g)
     assert not ok
+
+
+def _twisted(m, rng):
+    """m transported along a random invertible change of basis per vertex."""
+    f = m.field
+    basis = {}
+    for v, d in m.dims.items():
+        while True:
+            t = f.random_matrix(rng, (d, d))
+            if invert(f, t) is not None:
+                basis[v] = t
+                break
+    maps = {
+        arw.label: f.matmul(
+            basis[arw.target],
+            f.matmul(m.maps[arw.label], invert(f, basis[arw.source])),
+        )
+        for arw in m.algebra.quiver.arrows
+    }
+    return Representation(m.algebra, dict(m.dims), maps)
+
+
+def test_is_isomorphic_line_search_matches_full_enumeration(monkeypatch):
+    rng = Random(5)
+    pairs = []
+    for p in (3, 5):
+        a = alg61a(FieldSpec(p))
+        g = cyclic_module(a, a.element_from_str("b*a"))[0]
+        p1 = projective(a, "1")
+        split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
+        pairs += [(g, _twisted(g, rng)), (p1, _twisted(p1, rng)), (g, split)]
+    a = alg61a(GF3)
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    gp = direct_sum([g, projective(a, "1")])[0]
+    pairs += [(gp, _twisted(gp, rng)), (gp, direct_sum([projective(a, "1"), g])[0])]
+    for m, n in pairs:
+        assert m.field.char ** hom_dim(m, n) <= 4096  # the exhaustive branch
+        ok, wit = is_isomorphic(m, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(rep, "_line_coeff_vectors", rep._all_coeff_vectors)
+            ref_ok, ref_wit = is_isomorphic(m, n)
+        assert ok == ref_ok
+        if ok:
+            assert all((wit.blocks[v] == ref_wit.blocks[v]).all() for v in wit.blocks)
+        else:
+            assert wit is None and ref_wit is None
+    assert sum(is_isomorphic(m, n)[0] for m, n in pairs) == len(pairs) - 2
 
 
 def test_semisimple_everything_projective():

@@ -4,9 +4,11 @@ from random import Random
 
 import pytest
 
+from gpktheory import stable
 from gpktheory.exactla import FieldSpec
 from gpktheory.rep import (
     Representation,
+    _all_coeff_vectors,
     cyclic_module,
     direct_sum,
     identity_morphism,
@@ -23,6 +25,7 @@ from gpktheory.stable import (
     stable_end_algebra,
     stable_hom,
     _space_cache,
+    _witness_search,
 )
 
 from builders import alg61a, alg61b, loop_square_zero
@@ -148,3 +151,33 @@ def test_random_pairs_agree_with_stripping():
         expected = sum(1 for r in left if r is g) == sum(1 for r in right if r is g)
         got, _ = is_weakly_equivalent(x, y, seed=3)
         assert got == expected
+
+
+def test_witness_line_search_matches_full_enumeration(monkeypatch):
+    a = alg61a(GF3)
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    p1, p2 = projective(a, "1"), projective(a, "2")
+    gg = direct_sum([g, g])[0]
+    twisted = Representation(
+        a, {"1": 2, "2": 2}, {"a": [[2, 1], [0, 2]], "b": [[0, 0], [0, 0]]}
+    )
+    pairs = [
+        (g, direct_sum([g, p1])[0]),
+        (gg, twisted),
+        (direct_sum([p2, g])[0], direct_sum([g, p1])[0]),
+        (p2, zero_rep(a)),
+        (g, p1),
+        (gg, g),
+    ]
+    for m, n in pairs:
+        found, exhaustive = _witness_search(m, n, seed=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(stable, "_line_coeff_vectors", _all_coeff_vectors)
+            ref, ref_exhaustive = _witness_search(m, n, seed=0)
+        assert exhaustive and ref_exhaustive
+        assert (found is None) == (ref is None)
+        for mor, ref_mor in zip(found or (), ref or ()):
+            assert all((mor.blocks[v] == ref_mor.blocks[v]).all() for v in mor.blocks)
+    assert [_witness_search(m, n, 0)[0] is not None for m, n in pairs] == [
+        True, True, True, True, False, False
+    ]

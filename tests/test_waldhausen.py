@@ -7,19 +7,24 @@ from builders import (
     GF2,
     alg61a,
     alg61b,
+    alg62b,
     cached_wdata,
     loop_square_zero,
     semisimple_two,
 )
-from gpktheory import exactla
+from gpktheory import exactla, waldhausen
 from gpktheory.exactla import FieldSpec
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
 from gpktheory.rep import (
     Representation,
+    _all_coeff_vectors,
+    cokernel,
+    hom_basis,
     identity_morphism,
     is_isomorphic,
     regular,
+    zero_morphism,
 )
 from gpktheory.waldhausen import (
     build_wdata,
@@ -213,3 +218,63 @@ def test_notes_report_bounds():
     data = cached_wdata("61a_gf5")
     assert any("item multiplicity <= 4" in n for n in data.notes)
     assert any("exhaustive mono bound" in n for n in data.notes)
+
+
+def _reference_cofibrations(data, x, y, h):
+    """The per-candidate mono search: every coefficient vector in base-p
+    order, one rank test and one row-space key per vertex and candidate."""
+    f = data.algebra.field
+    verts = data.algebra.quiver.vertices
+    hs = hom_basis(x.rep, y.rep)
+    seen = set()
+    for coeffs in _all_coeff_vectors(f.char, h):
+        cand = hs.element(coeffs) if h else zero_morphism(x.rep, y.rep)
+        if any(exactla.rank_of(f, cand.blocks[v]) != x.rep.dims[v] for v in verts):
+            continue
+        key = []
+        for v in verts:
+            red, pivots = exactla.rref(f, cand.blocks[v].T)
+            key.append(red.tobytes() + bytes(str(pivots), "ascii"))
+        key = tuple(key)
+        if key in seen:
+            continue
+        seen.add(key)
+        coker, q = cokernel(cand)
+        cls = waldhausen._weak_class(data, coker)
+        if cls is None:
+            continue
+        data.cofibrations.append(
+            waldhausen.Cofibration(
+                x.index, y.index, cand, coker, q, cls,
+                split=waldhausen._is_split(data, x, y, cls),
+            )
+        )
+
+
+def _cofibration_rows(data):
+    verts = data.algebra.quiver.vertices
+    return [
+        (
+            c.src,
+            c.dst,
+            tuple(c.mono.blocks[v].tobytes() for v in verts),
+            data.classes[c.coker_class],
+            c.split,
+        )
+        for c in data.cofibrations
+    ]
+
+
+def test_line_search_matches_full_enumeration(monkeypatch):
+    cases = [
+        (loop_square_zero, 2), (loop_square_zero, 3), (loop_square_zero, 5),
+        (alg62b, 3),
+    ]
+    for make, p in cases:
+        catalog = gp_catalog(make(FieldSpec(p)))
+        fast = build_wdata(catalog, depth=1)
+        with monkeypatch.context() as m:
+            m.setattr(waldhausen, "_exhaustive_cofibrations", _reference_cofibrations)
+            ref = build_wdata(catalog, depth=1)
+        assert _cofibration_rows(fast) == _cofibration_rows(ref)
+        assert fast.notes == ref.notes
