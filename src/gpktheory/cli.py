@@ -39,8 +39,9 @@ from .morita import (
     _rname,
     _tv,
     check_semt,
-    compare_invariants,
+    compare_sides,
     regular_bimodule,
+    side_invariants,
     tensor_algebra,
 )
 from .presentation import (
@@ -444,26 +445,24 @@ def _group_json(g):
 
 
 def _analyze_bundle(af, a, args):
+    """The analyze report of one algebra, and the side invariants behind it."""
     dim_cap, iter_cap, seed, _ = _caps(af, args)
-    rep = dimension_report(a)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    side = side_invariants(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
+    cat = side.catalog
     out = {
         "algebra": _algebra_json(af, a),
-        "dimension_report": _dimension_json(rep),
+        "dimension_report": _dimension_json(cat.report),
         "gp_catalog": _catalog_json(cat),
         "warnings": list(cat.notes),
     }
-    unknown = cat.verdict == "Unknown"
-    if unknown:
+    if cat.verdict == "Unknown":
         out["k0"] = None
         out["k1"] = None
         out["warnings"].append("catalog verdict Unknown: K-groups not computed")
     else:
-        out["k0"] = _group_json(k0_gorenstein(a, cat, seed=seed))
-        out["k1"] = _group_json(k1_gorenstein(a, cat).group)
-    if rep.gorenstein_status == "unknown":
-        unknown = True
-    return out, cat, unknown
+        out["k0"] = _group_json(side.k0)
+        out["k1"] = _group_json(side.k1.group)
+    return out, side
 
 
 def _render_group(g):
@@ -513,8 +512,8 @@ def _render_analyze(out):
 def cmd_analyze(args):
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
-    out, _, unknown = _analyze_bundle(af, a, args)
-    return out, _render_analyze(out), (2 if unknown else 0)
+    out, side = _analyze_bundle(af, a, args)
+    return out, _render_analyze(out), (2 if side.catalog.verdict == "Unknown" else 0)
 
 
 def cmd_gp(args):
@@ -597,10 +596,10 @@ def cmd_compare(args):
     af2 = load_algebra_file(args.file2)
     a1 = build_from_file(af1, args)
     a2 = build_from_file(af2, args)
-    d1, i1, s1, _ = _caps(af1, args)
-    cmpres = compare_invariants(a1, a2, dim_cap=d1, iter_cap=i1, seed=s1)
-    first, _, unknown1 = _analyze_bundle(af1, a1, args)
-    second, _, unknown2 = _analyze_bundle(af2, a2, args)
+    # each side once, with its own file's caps and seed
+    first, side1 = _analyze_bundle(af1, a1, args)
+    second, side2 = _analyze_bundle(af2, a2, args)
+    cmpres = compare_sides(side1, side2)
     out = {
         "first": first,
         "second": second,
@@ -618,7 +617,7 @@ def cmd_compare(args):
     lines.extend(_render_analyze(second))
     lines.append("--- comparison ---")
     lines.append(cmpres.describe())
-    return out, lines, (2 if unknown1 or unknown2 else 0)
+    return out, lines, (2 if "Unknown" in cmpres.cm else 0)
 
 
 def cmd_semt(args):

@@ -30,13 +30,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# largest prime below 2**16: products of residues stay below 2**32, so int64
+# sums of up to 2**31 of them are exact
+MAX_PRIME = 65521
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: GF(char) for prime char, or QQ when char == 0."""
+    """Coefficient field: GF(char) for prime char <= MAX_PRIME, or QQ when
+    char == 0."""
 
     char: int
 
     def __post_init__(self):
+        if self.char > MAX_PRIME:
+            raise ValueError(
+                f"field characteristic {self.char} is above {MAX_PRIME}, the "
+                "largest prime whose int64 arithmetic is exact"
+            )
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
 
@@ -238,15 +249,25 @@ def rref_stack_fp(a: np.ndarray, p: int):
         dst = ranks[ks]
         pivot_rows = a[ks, src]
         a[ks, src] = a[ks, dst]
-        vals, where = np.unique(pivot_rows[:, c], return_inverse=True)
-        invs = np.array([pow(int(x), p - 2, p) for x in vals], dtype=np.int64)
-        pivot_rows = (pivot_rows * invs[where][:, None]) % p
+        pivot_rows = (pivot_rows * _inverses_fp(pivot_rows[:, c], p)[:, None]) % p
         a[ks, dst] = pivot_rows
         factors = a[ks, :, c]
         factors[np.arange(ks.size), dst] = 0
         a[ks] = (a[ks] - factors[:, :, None] * pivot_rows[:, None, :]) % p
         ranks[ks] += 1
     return a, ranks
+
+
+def _inverses_fp(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues, x**(p-2) mod p by squaring."""
+    out = np.ones_like(x)
+    k = p - 2
+    while k:
+        if k & 1:
+            out = (out * x) % p
+        x = (x * x) % p
+        k >>= 1
+    return out
 
 
 def _rref_qq(a: np.ndarray):

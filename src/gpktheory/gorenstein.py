@@ -49,7 +49,7 @@ class DimensionReport:
     global_dim: object  # int | AtLeast
     self_inj_dim_left: object  # int | AtLeast
     self_inj_dim_right: object  # int | AtLeast
-    gorenstein_status: str  # "yes" | "no_within_bound" | "unknown"
+    gorenstein_status: str  # "yes" | "no_within_bound"
     gorenstein_dim: object  # int when status == "yes", else None
 
     @property

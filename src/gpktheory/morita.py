@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactla
-from .gorenstein import gp_catalog
+from .gorenstein import GPCatalog, gp_catalog
 from .ktheory import k0_gorenstein, k1_gorenstein
 from .presentation import (
     FiniteDimAlgebra,
@@ -822,6 +822,66 @@ class InvariantComparison:
         return "\n".join(lines)
 
 
+@dataclass
+class SideInvariants:
+    """The stable invariants of one algebra that a comparison looks at."""
+
+    algebra: FiniteDimAlgebra
+    catalog: GPCatalog
+    k0: object  # group description, or None when the catalog is unsettled
+    k1: object  # K1Result, or None
+
+
+def side_invariants(
+    a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32, seed: int = 0
+) -> SideInvariants:
+    """GP catalog of a and, when it is settled, K0 and K1 of its stable category."""
+    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    if cat.verdict == "Unknown":
+        return SideInvariants(a, cat, None, None)
+    return SideInvariants(a, cat, k0_gorenstein(a, cat, seed=seed), k1_gorenstein(a, cat))
+
+
+def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantComparison:
+    """Equality flags of two sides' stable invariants.
+
+    K0, K1 and the CM verdicts are the invariants a stable equivalence of
+    Morita type must preserve, and all_predicted_equal records exactly
+    their conjunction.  The Gorenstein data is tabulated alongside for
+    reference.  An unsettled catalog propagates as None flags.
+    """
+    sides = (first, second)
+    notes = [
+        f"catalog of the {which} algebra is unsettled; K-groups omitted"
+        for which, side in zip(("first", "second"), sides)
+        if side.catalog.verdict == "Unknown"
+    ]
+    k0 = tuple(side.k0 for side in sides)
+    k1 = tuple(side.k1 for side in sides)
+    cm = tuple(side.catalog.verdict for side in sides)
+    k0_equal = k0[0].same_group(k0[1]) if k0[0] and k0[1] else None
+    k1_equal = k1[0].group.same_group(k1[1].group) if k1[0] and k1[1] else None
+    cm_equal = None if "Unknown" in cm else cm[0] == cm[1]
+    gor = tuple(
+        (side.catalog.report.gorenstein_status, side.catalog.report.gorenstein_dim)
+        for side in sides
+    )
+    return InvariantComparison(
+        first.algebra,
+        second.algebra,
+        k0,
+        k1,
+        cm,
+        gor,
+        k0_equal,
+        k1_equal,
+        cm_equal,
+        gor[0] == gor[1],
+        bool(k0_equal and k1_equal and cm_equal),
+        notes,
+    )
+
+
 def compare_invariants(
     a: FiniteDimAlgebra,
     b: FiniteDimAlgebra,
@@ -829,48 +889,9 @@ def compare_invariants(
     iter_cap: int = 32,
     seed: int = 0,
 ) -> InvariantComparison:
-    """Side-by-side stable invariants of two algebras with equality flags.
-
-    Compares K0 and K1 of the stable categories and the CM verdicts; those
-    are the invariants a stable equivalence of Morita type must preserve,
-    and all_predicted_equal records exactly their conjunction.  The
-    Gorenstein data is tabulated alongside for reference.  An unsettled
-    catalog propagates as None flags rather than raising.
-    """
-    notes = []
-    cats = [gp_catalog(x, dim_cap=dim_cap, iter_cap=iter_cap) for x in (a, b)]
-    cm = (cats[0].verdict, cats[1].verdict)
-    k0 = [None, None]
-    k1 = [None, None]
-    for i, (x, cat) in enumerate(zip((a, b), cats)):
-        if cat.verdict != "Unknown":
-            k0[i] = k0_gorenstein(x, cat, seed=seed)
-            k1[i] = k1_gorenstein(x, cat)
-        else:
-            notes.append(f"catalog of the {'first' if i == 0 else 'second'} "
-                         "algebra is unsettled; K-groups omitted")
-    k0_equal = k0[0].same_group(k0[1]) if k0[0] and k0[1] else None
-    k1_equal = k1[0].group.same_group(k1[1].group) if k1[0] and k1[1] else None
-    cm_equal = None if "Unknown" in cm else cm[0] == cm[1]
-    gor = tuple(
-        (cat.report.gorenstein_status, cat.report.gorenstein_dim) for cat in cats
-    )
-    if gor[0][0] == "unknown" or gor[1][0] == "unknown":
-        gorenstein_equal = None
-    else:
-        gorenstein_equal = gor[0] == gor[1]
-    all_predicted_equal = bool(k0_equal and k1_equal and cm_equal)
-    return InvariantComparison(
-        a,
-        b,
-        tuple(k0),
-        tuple(k1),
-        cm,
-        gor,
-        k0_equal,
-        k1_equal,
-        cm_equal,
-        gorenstein_equal,
-        all_predicted_equal,
-        notes,
+    """Side-by-side stable invariants of two algebras with equality flags,
+    both sides computed with the same caps and seed (see compare_sides)."""
+    return compare_sides(
+        side_invariants(a, dim_cap, iter_cap, seed),
+        side_invariants(b, dim_cap, iter_cap, seed),
     )

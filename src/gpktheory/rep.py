@@ -8,7 +8,6 @@ canonical form so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from random import Random
 
@@ -21,15 +20,6 @@ from .presentation import FiniteDimAlgebra, Path, opposite
 
 class FieldUnsupported(Exception):
     """Certified decomposition is not available over this field."""
-
-
-def _caches(a: FiniteDimAlgebra) -> dict:
-    c = a._caches
-    if "lock" not in c:
-        c["lock"] = threading.Lock()
-        c["cover"] = {}
-        c["homdim"] = {}
-    return c
 
 
 class Representation:
@@ -565,10 +555,6 @@ def projective_cover(m: Representation):
     return p, epi
 
 
-def _rep_cache(a: FiniteDimAlgebra):
-    return _caches(a)
-
-
 def syzygy(m: Representation, n: int = 1) -> Representation:
     """The n-th syzygy: iterated kernel of minimal projective covers."""
     cur = m
@@ -579,17 +565,15 @@ def syzygy(m: Representation, n: int = 1) -> Representation:
 
 def _syzygy_once(m: Representation):
     """(syzygy, inclusion into cover, cover, epi), cached per algebra."""
-    c = _rep_cache(m.algebra)
+    cache = m.algebra._caches.setdefault("cover", {})
     key = m.key()
-    with c["lock"]:
-        hit = c["cover"].get(key)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     p, epi = projective_cover(m)
     ker, incl = kernel_subrep(epi)
     out = (ker, incl, p, epi)
-    with c["lock"]:
-        c["cover"][key] = out
+    cache[key] = out
     return out
 
 
@@ -933,10 +917,12 @@ def _fitting_split(m: Representation, g: Morphism):
     f = m.field
     n = m.total_dim
     powered = {v: _power(f, g.blocks[v], max(n, 1)) for v in g.blocks}
+    # g invertible or nilpotent (kernel 0 or all of m) is read off the ranks
+    ker_dim = sum(m.dims[v] - exactla.rank_of(f, powered[v]) for v in powered)
+    if ker_dim == 0 or ker_dim == n:
+        return None
     gm = Morphism(m, m, powered)
     ker, _ = kernel_subrep(gm)
-    if ker.is_zero or ker.total_dim == m.total_dim:
-        return None
     img, _ = image_subrep(gm)
     assert ker.total_dim + img.total_dim == m.total_dim
     return ker, img
@@ -1027,11 +1013,16 @@ def _vec_power(mul_vec, x, k, e):
 def decompose(m: Representation, seed: int = 0):
     """Indecomposable summands with multiplicities, canonically ordered.
 
-    Over finite fields, failure to split is certified through the
-    endomorphism ring (exhaustive idempotent search when small, radical
-    quotient inspection otherwise).  Over QQ only opportunistic splitting
-    is available and FieldUnsupported is raised when certification would
-    be required.
+    Summands are split off by Fitting's lemma: m = ker(g^N) + im(g^N) for
+    shifts g - lam of sampled endomorphisms g.  Over finite fields the
+    shifts that cannot split m (invertible at every vertex) are screened
+    out first by one stacked rank test per vertex, and an invertible or
+    nilpotent shift is rejected by ranks alone.  Failure to split is then
+    certified through the endomorphism ring: a batched exhaustive search
+    for a nontrivial idempotent when End(m) is small, radical quotient
+    inspection otherwise.  Over QQ only opportunistic splitting is
+    available and FieldUnsupported is raised when certification would be
+    required.
     """
     if m.is_zero:
         return []
@@ -1064,30 +1055,30 @@ def _decompose_rec(m: Representation, seed: int):
     for _ in range(8):
         cands.append(ends.element([f.random_scalar(rng) for _ in range(ends.dim)]))
     lambdas = list(f.elements()) if f.char else [0, 1, -1, 2, -2]
-    for g in cands:
-        for lam in lambdas:
-            shifted = g.add(identity_morphism(m).scale(f.canon(-lam)))
-            split = _fitting_split(m, shifted)
-            if split is not None:
-                a, b = split
-                return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
+    split = _first_fitting_split(m, cands, lambdas)
+    if split is not None:
+        a, b = split
+        return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
     if not f.char:
         raise FieldUnsupported("cannot certify indecomposability over QQ")
     # certification over GF(p)
     if f.char**ends.dim <= 4096:
-        ident = identity_morphism(m)
-        for coeffs in _all_coeff_vectors(f.char, ends.dim):
-            e = ends.element(coeffs)
-            if e.is_zero or _morph_eq(e, ident):
-                continue
-            if _morph_eq(e.compose(e), e):
-                # nontrivial idempotent: m = im(e) + ker(e)
-                img, _ = image_subrep(e)
-                ker, _ = kernel_subrep(e)
-                assert img.total_dim + ker.total_dim == m.total_dim
-                assert 0 < img.total_dim < m.total_dim
-                return _decompose_rec(img, seed + 1) + _decompose_rec(ker, seed + 1)
-        return [m]
+        coeffs = _first_idempotent(ends)
+        if coeffs is None:
+            return [m]
+        e = ends.element(coeffs)
+        if (
+            e.is_zero
+            or _morph_eq(e, identity_morphism(m))
+            or not _morph_eq(e.compose(e), e)
+        ):
+            raise RuntimeError("batched idempotent search returned a non-idempotent")
+        # nontrivial idempotent: m = im(e) + ker(e)
+        img, _ = image_subrep(e)
+        ker, _ = kernel_subrep(e)
+        assert img.total_dim + ker.total_dim == m.total_dim
+        assert 0 < img.total_dim < m.total_dim
+        return _decompose_rec(img, seed + 1) + _decompose_rec(ker, seed + 1)
     # radical-quotient inspection
     table, rad_rows, e, mul_vec = _endo_radical_and_quotient(ends)
     p = f.char
@@ -1140,15 +1131,98 @@ def _decompose_rec(m: Representation, seed: int):
     # noncommutative semisimple quotient: decomposable; retry harder
     for extra in range(8):
         rng2 = Random(seed + 1000 + extra)
-        for _ in range(64):
-            g = ends.element([f.random_scalar(rng2) for _ in range(ends.dim)])
-            for lam in f.elements():
-                shifted = g.add(identity_morphism(m).scale(f.canon(-lam)))
-                split = _fitting_split(m, shifted)
-                if split is not None:
-                    a, b = split
-                    return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
+        cands = [
+            ends.element([f.random_scalar(rng2) for _ in range(ends.dim)])
+            for _ in range(64)
+        ]
+        split = _first_fitting_split(m, cands, list(f.elements()))
+        if split is not None:
+            a, b = split
+            return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
     raise RuntimeError("module is provably decomposable but no splitting was found")
+
+
+# bytes a temporary of the stacked searches below may take
+_STACK_BYTES = 1 << 20
+
+
+def _shift_singular_mask(m: Representation, cands, lambdas) -> np.ndarray:
+    """mask[i, j]: cands[i] - lambdas[j] * 1 is singular at some vertex.
+
+    Over GF(p) only.  One stacked row reduction per vertex ranks the
+    shifts of every candidate by every scalar, in chunks that keep each
+    temporary under _STACK_BYTES.
+    """
+    p = m.field.char
+    lam = np.asarray(lambdas, dtype=np.int64)
+    mask = np.zeros(len(cands) * lam.size, dtype=bool)
+    for v in m.algebra.quiver.vertices:
+        d = m.dims[v]
+        if d == 0:
+            continue
+        blocks = np.stack([g.blocks[v] for g in cands])
+        eye = np.eye(d, dtype=np.int64)
+        chunk = max(1, _STACK_BYTES // (8 * d * d))
+        for start in range(0, mask.size, chunk):
+            k = np.arange(start, min(start + chunk, mask.size))
+            shifts = blocks[k // lam.size] - lam[k % lam.size, None, None] * eye
+            _, ranks = exactla.rref_stack_fp(shifts, p)
+            mask[k] |= ranks < d
+    return mask.reshape(len(cands), lam.size)
+
+
+def _first_fitting_split(m: Representation, cands, lambdas):
+    """First Fitting split of m by a shift g - lam, candidates outermost.
+
+    Over GF(p) a shift that is invertible at every vertex cannot split m,
+    so the stacked singularity mask skips it without changing which split
+    comes first.
+    """
+    f = m.field
+    mask = _shift_singular_mask(m, cands, lambdas) if f.char else None
+    ident = identity_morphism(m)
+    for i, g in enumerate(cands):
+        for j in np.flatnonzero(mask[i]) if f.char else range(len(lambdas)):
+            split = _fitting_split(m, g.add(ident.scale(f.canon(-lambdas[j]))))
+            if split is not None:
+                return split
+    return None
+
+
+def _first_idempotent(ends: HomSpace):
+    """Coefficients of the first idempotent other than 0 and 1 in End(m),
+    in `_all_coeff_vectors` order, or None.  Over GF(p) only.
+
+    x = sum c_i b_i is idempotent iff sum_i c_i sum_j c_j (b_i b_j) = x,
+    so the products b_i b_j are formed once and every batch of coefficient
+    vectors is tested with one (N, e) x (e, D) product per i.
+    """
+    m = ends.domain
+    p = m.field.char
+    e = ends.dim
+    basis = np.stack([b.as_vector() for b in ends.basis])
+    prods = np.stack(
+        [np.stack([bi.compose(bj).as_vector() for bj in ends.basis]) for bi in ends.basis]
+    )
+    ident = identity_morphism(m).as_vector()
+    place = p ** np.arange(e, dtype=np.int64)
+    total = p**e
+    batch = max(1, _STACK_BYTES // (8 * basis.shape[1]))
+    for start in range(0, total, batch):
+        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
+        coeffs = (idx[:, None] // place) % p
+        elems = (coeffs @ basis) % p
+        square = np.zeros_like(elems)
+        for i in range(e):
+            square = (square + coeffs[:, i, None] * ((coeffs @ prods[i]) % p)) % p
+        hits = (
+            (square == elems).all(axis=1)
+            & elems.any(axis=1)
+            & (elems != ident).any(axis=1)
+        )
+        if hits.any():
+            return [int(c) for c in coeffs[hits.argmax()]]
+    return None
 
 
 def _identity_coords(ends: HomSpace) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Constructors for the worked example algebras used across the test suite."""
 
-from gpktheory.exactla import FieldSpec
+from gpktheory.exactla import FieldSpec, invert
 from gpktheory.presentation import Quiver, RelationElem, build_algebra
+from gpktheory.rep import Representation
 
 GF2 = FieldSpec(2)
 
@@ -69,6 +70,41 @@ def semisimple_two(field=GF2):
     """Two vertices, no arrows."""
     q = Quiver.make(["1", "2"], [])
     return build_algebra(q, [], field)
+
+
+def nakayama(field=GF2, n=2, length=2):
+    """Oriented n-cycle 1 -> 2 -> ... -> n -> 1 with every path of the
+    given length zero (a self-injective Nakayama algebra)."""
+    names = [str(i + 1) for i in range(n)]
+    labels = [f"a{i + 1}" for i in range(n)]
+    q = Quiver.make(names, [(labels[i], names[i], names[(i + 1) % n]) for i in range(n)])
+    rels = [
+        RelationElem.from_written(
+            q, [(1, [labels[(i + j) % n] for j in reversed(range(length))])]
+        )
+        for i in range(n)
+    ]
+    return build_algebra(q, rels, field)
+
+
+def twisted(m, rng):
+    """m transported along a random invertible change of basis per vertex."""
+    f = m.field
+    basis = {}
+    for v, d in m.dims.items():
+        while True:
+            t = f.random_matrix(rng, (d, d))
+            if invert(f, t) is not None:
+                basis[v] = t
+                break
+    maps = {
+        arw.label: f.matmul(
+            basis[arw.target],
+            f.matmul(m.maps[arw.label], invert(f, basis[arw.source])),
+        )
+        for arw in m.algebra.quiver.arrows
+    }
+    return Representation(m.algebra, dict(m.dims), maps)
 
 
 # shared expensive builds, memoized for the whole pytest run ----------------

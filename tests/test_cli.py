@@ -214,6 +214,33 @@ def test_compare_both_pairs():
     assert j["comparison"]["gorenstein_equal"] is True
 
 
+def test_compare_uses_each_files_own_caps(monkeypatch):
+    from gpktheory import cli
+
+    calls = []
+    real = cli.side_invariants
+
+    def recording(a, dim_cap=None, iter_cap=32, seed=0):
+        calls.append((dim_cap, iter_cap, seed))
+        return real(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
+
+    monkeypatch.setattr(cli, "side_invariants", recording)
+    second = tmp_file(GF3_61B + "option dim_cap 1\noption seed 5\n")
+    try:
+        code, j = run_json(["compare", "example61A.alg", second, "--field", "3"])
+    finally:
+        os.unlink(second)
+    # one computation per side, each with its own file's options
+    assert calls == [(None, 32, 0), (1, 32, 5)]
+    assert code == 2
+    assert j["first"]["gp_catalog"]["verdict"] == "CMFinite"
+    assert j["second"]["gp_catalog"]["verdict"] == "Unknown"
+    assert j["second"]["k0"] is None
+    assert j["comparison"]["cm_equal"] is None
+    assert j["comparison"]["k0_equal"] is None
+    assert j["comparison"]["all_predicted_equal"] is False
+
+
 def test_semt_regular_bimodule_files():
     code, j = run_json(
         ["semt", "kx2.alg", "kx2.alg", "kx2_regular.bim", "kx2_regular.bim"]
@@ -261,6 +288,14 @@ def test_rational_field_exits_one_without_traceback(command):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite prime field" in err
+
+
+def test_field_above_exact_range_exits_one():
+    code, out, err = run(["analyze", "kx2.alg", "--field", "65537"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "65521" in err
 
 
 def test_json_output_is_byte_reproducible():

@@ -1,0 +1,261 @@
+"""decompose's screened Fitting search and batched idempotent test against the
+plain loops they replace, kept here as the reference."""
+
+from random import Random
+
+import numpy as np
+import pytest
+
+from gpktheory import exactla, rep
+from gpktheory.exactla import FieldSpec
+from gpktheory.gorenstein import gp_catalog
+from gpktheory.rep import (
+    Representation,
+    cyclic_module,
+    direct_sum,
+    hom_basis,
+    identity_morphism,
+    projective,
+    simple,
+)
+
+from builders import (
+    alg61a,
+    alg61b,
+    alg62a,
+    alg62b,
+    loop_square_zero,
+    nakayama,
+    twisted,
+)
+
+ALGEBRAS = {
+    "kx2": loop_square_zero,
+    "61A": alg61a,
+    "61B": alg61b,
+    "62A": alg62a,
+    "62B": alg62b,
+    "nakayama(2,2)": nakayama,
+}
+PRIMES = (2, 3, 5, 7)
+
+
+# ---------------------------------------------------------------------------
+# reference: the unscreened loops
+
+
+def _ref_fitting_split(m, g):
+    f = m.field
+    n = m.total_dim
+    powered = {v: rep._power(f, g.blocks[v], max(n, 1)) for v in g.blocks}
+    gm = rep.Morphism(m, m, powered)
+    ker, _ = rep.kernel_subrep(gm)
+    if ker.is_zero or ker.total_dim == m.total_dim:
+        return None
+    img, _ = rep.image_subrep(gm)
+    return ker, img
+
+
+def _ref_shift_loop(m, cands, lambdas):
+    f = m.field
+    for g in cands:
+        for lam in lambdas:
+            shifted = g.add(identity_morphism(m).scale(f.canon(-lam)))
+            split = _ref_fitting_split(m, shifted)
+            if split is not None:
+                return split
+    return None
+
+
+def _ref_first_idempotent(ends):
+    m = ends.domain
+    ident = identity_morphism(m)
+    for coeffs in rep._all_coeff_vectors(m.field.char, ends.dim):
+        e = ends.element(coeffs)
+        if e.is_zero or rep._morph_eq(e, ident):
+            continue
+        if rep._morph_eq(e.compose(e), e):
+            return coeffs
+    return None
+
+
+def _ref_decompose_rec(m, seed):
+    if m.is_zero:
+        return []
+    if m.total_dim == 1:
+        return [m]
+    f = m.field
+    ends = hom_basis(m, m)
+    if ends.dim == 1:
+        return [m]
+    rng = Random(seed)
+    cands = list(ends.basis)
+    for _ in range(8):
+        cands.append(ends.element([f.random_scalar(rng) for _ in range(ends.dim)]))
+    split = _ref_shift_loop(m, cands, list(f.elements()))
+    if split is not None:
+        return _ref_decompose_rec(split[0], seed + 1) + _ref_decompose_rec(split[1], seed + 1)
+    if f.char**ends.dim <= 4096:
+        coeffs = _ref_first_idempotent(ends)
+        if coeffs is None:
+            return [m]
+        e = ends.element(coeffs)
+        img, _ = rep.image_subrep(e)
+        ker, _ = rep.kernel_subrep(e)
+        return _ref_decompose_rec(img, seed + 1) + _ref_decompose_rec(ker, seed + 1)
+    table, rad_rows, e, mul_vec = rep._endo_radical_and_quotient(ends)
+    p = f.char
+    fp = FieldSpec(p)
+    red, piv = exactla.rref(fp, rad_rows) if rad_rows.shape[0] else (rad_rows, [])
+    free = [c for c in range(e) if c not in set(piv)]
+    if len(free) <= 1:
+        return [m]
+
+    def in_rad(vec):
+        if not red.shape[0]:
+            return not vec.any()
+        stacked = np.concatenate([red, vec.reshape(1, -1)], axis=0)
+        return exactla.rank_of(fp, stacked) == red.shape[0]
+
+    commutative = True
+    for i in free:
+        for j in free:
+            ei = np.zeros(e, dtype=np.int64)
+            ei[i] = 1
+            ej = np.zeros(e, dtype=np.int64)
+            ej[j] = 1
+            if not in_rad((mul_vec(ei, ej) - mul_vec(ej, ei)) % p):
+                commutative = False
+    if commutative:
+        fixed_dim, frob_fixed = rep._frobenius_fixed(fp, red, free, e, mul_vec)
+        if fixed_dim <= 1:
+            return [m]
+        one_coeffs = rep._identity_coords(ends)
+        for vec in frob_fixed:
+            for lam in range(p):
+                g = ends.element((vec - lam * one_coeffs) % p)
+                if g.is_zero:
+                    continue
+                split = _ref_fitting_split(m, g)
+                if split is not None:
+                    return _ref_decompose_rec(split[0], seed + 1) + _ref_decompose_rec(
+                        split[1], seed + 1
+                    )
+        raise RuntimeError("commutative split vector found no splitting")
+    for extra in range(8):
+        rng2 = Random(seed + 1000 + extra)
+        for _ in range(64):
+            g = ends.element([f.random_scalar(rng2) for _ in range(ends.dim)])
+            split = _ref_shift_loop(m, [g], list(f.elements()))
+            if split is not None:
+                return _ref_decompose_rec(split[0], seed + 1) + _ref_decompose_rec(
+                    split[1], seed + 1
+                )
+    raise RuntimeError("module is provably decomposable but no splitting was found")
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _seeded_sums(a, rng):
+    """Two direct sums of catalog items and projectives, one of them twisted."""
+    pool = list(gp_catalog(a).items) + [projective(a, v) for v in a.quiver.vertices]
+    two = direct_sum([rng.choice(pool) for _ in range(2)])[0]
+    three = direct_sum([rng.choice(pool) for _ in range(3)])[0]
+    return [twisted(two, rng), three]
+
+
+def _twisted_sum_gf3():
+    a = alg61a(FieldSpec(3))
+    return Representation(
+        a, {"1": 2, "2": 2}, {"a": [[2, 1], [0, 2]], "b": [[0, 0], [0, 0]]}
+    )
+
+
+def _keys(pieces):
+    return [piece.key() for piece in pieces]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_decompose_rec_matches_reference(name, p):
+    a = ALGEBRAS[name](FieldSpec(p))
+    rng = Random(f"{name}/{p}")
+    for seed, m in enumerate(_seeded_sums(a, rng)):
+        assert _keys(rep._decompose_rec(m, seed)) == _keys(_ref_decompose_rec(m, seed))
+
+
+def _cands(m, seed=0):
+    f = m.field
+    ends = hom_basis(m, m)
+    rng = Random(seed)
+    return list(ends.basis) + [
+        ends.element([f.random_scalar(rng) for _ in range(ends.dim)]) for _ in range(8)
+    ]
+
+
+@pytest.mark.parametrize("stack_bytes", [rep._STACK_BYTES, 64])
+def test_singular_mask_matches_rank_of(monkeypatch, stack_bytes):
+    monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
+    rng = Random(3)
+    modules = [_twisted_sum_gf3()]
+    for p in (2, 5, 7):
+        a = alg61b(FieldSpec(p))
+        modules += _seeded_sums(a, rng)
+        # shifts singular at one vertex only
+        modules.append(twisted(direct_sum([simple(a, "1"), simple(a, "2")])[0], rng))
+        modules.append(direct_sum([projective(a, "2"), simple(a, "1")])[0])
+    for m in modules:
+        f = m.field
+        cands = _cands(m)
+        lambdas = list(f.elements())
+        mask = rep._shift_singular_mask(m, cands, lambdas)
+        for i, g in enumerate(cands):
+            for j, lam in enumerate(lambdas):
+                singular = any(
+                    exactla.rank_of(f, f.sub(g.blocks[v], f.scale(lam, f.eye(d)))) < d
+                    for v, d in m.dims.items()
+                    if d
+                )
+                assert mask[i, j] == singular
+
+
+def test_fitting_rank_reject_matches_kernel_test():
+    rng = Random(4)
+    for p in (3, 5):
+        for m in _seeded_sums(alg62b(FieldSpec(p)), rng):
+            ident = identity_morphism(m)
+            for g in _cands(m):
+                for lam in range(p):
+                    shifted = g.add(ident.scale(-lam))
+                    fast = rep._fitting_split(m, shifted)
+                    ref = _ref_fitting_split(m, shifted)
+                    assert (fast is None) == (ref is None)
+                    if fast is not None:
+                        assert _keys(fast) == _keys(ref)
+
+
+def _idempotent_cases():
+    a3 = alg61a(FieldSpec(3))
+    g3 = cyclic_module(a3, a3.element_from_str("b*a"))[0]
+    a2 = alg61a(FieldSpec(2))
+    g2 = cyclic_module(a2, a2.element_from_str("b*a"))[0]
+    return [
+        ("twisted sum", _twisted_sum_gf3(), True),
+        ("G + P1 over GF(2)", direct_sum([g2, projective(a2, "1")])[0], True),
+        ("P1 + G over GF(3)", direct_sum([projective(a3, "1"), g3])[0], True),
+        ("P2 over GF(3)", projective(a3, "2"), False),
+        ("P1 over GF(7)", projective(alg61a(FieldSpec(7)), "1"), False),
+    ]
+
+
+@pytest.mark.parametrize("stack_bytes", [rep._STACK_BYTES, 64])
+@pytest.mark.parametrize("label,m,splits", _idempotent_cases())
+def test_batched_idempotent_matches_scalar_loop(monkeypatch, stack_bytes, label, m, splits):
+    monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
+    ends = hom_basis(m, m)
+    assert 1 < ends.dim and m.field.char**ends.dim <= 4096  # the exhaustive branch
+    found = rep._first_idempotent(ends)
+    assert found == _ref_first_idempotent(ends)
+    assert (found is not None) == splits

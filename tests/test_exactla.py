@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+import pytest
 
 from gpktheory.exactla import (
     AbelianGroupDescription,
@@ -102,7 +103,7 @@ def _stack_cases(rng, p):
 
 def test_rref_stack_matches_rref():
     rng = Random(8)
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 65521):
         f = FieldSpec(p)
         for stack in _stack_cases(rng, p):
             red, ranks = rref_stack_fp(stack, p)
@@ -112,6 +113,18 @@ def test_rref_stack_matches_rref():
                 assert ranks[k] == len(pivots) == rank_of(f, stack[k])
                 assert (red[k, : ranks[k]] == rows).all()
                 assert (red[k, ranks[k]:] == 0).all()
+
+
+def test_largest_accepted_prime_multiplies_exactly():
+    f = FieldSpec(65521)
+    a = f.array([[65520] * 3] * 3)  # all entries -1
+    assert (f.matmul(a, a) == 3).all()
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_primes_above_the_exact_range_are_rejected(p):
+    with pytest.raises(ValueError, match="65521"):
+        FieldSpec(p)
 
 
 def test_kernel_annihilates_and_dimensions_add():

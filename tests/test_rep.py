@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpktheory import rep
-from gpktheory.exactla import FieldSpec, invert
+from gpktheory.exactla import FieldSpec
 from gpktheory.presentation import opposite
 from gpktheory.rep import (
     FieldUnsupported,
@@ -30,7 +30,7 @@ from gpktheory.rep import (
     Representation,
 )
 
-from builders import alg61a, alg61b, alg62a, loop_square_zero, semisimple_two
+from builders import alg61a, alg61b, alg62a, loop_square_zero, semisimple_two, twisted
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -217,26 +217,6 @@ def test_is_isomorphic_twisted():
     assert not ok
 
 
-def _twisted(m, rng):
-    """m transported along a random invertible change of basis per vertex."""
-    f = m.field
-    basis = {}
-    for v, d in m.dims.items():
-        while True:
-            t = f.random_matrix(rng, (d, d))
-            if invert(f, t) is not None:
-                basis[v] = t
-                break
-    maps = {
-        arw.label: f.matmul(
-            basis[arw.target],
-            f.matmul(m.maps[arw.label], invert(f, basis[arw.source])),
-        )
-        for arw in m.algebra.quiver.arrows
-    }
-    return Representation(m.algebra, dict(m.dims), maps)
-
-
 def test_is_isomorphic_line_search_matches_full_enumeration(monkeypatch):
     rng = Random(5)
     pairs = []
@@ -245,11 +225,11 @@ def test_is_isomorphic_line_search_matches_full_enumeration(monkeypatch):
         g = cyclic_module(a, a.element_from_str("b*a"))[0]
         p1 = projective(a, "1")
         split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
-        pairs += [(g, _twisted(g, rng)), (p1, _twisted(p1, rng)), (g, split)]
+        pairs += [(g, twisted(g, rng)), (p1, twisted(p1, rng)), (g, split)]
     a = alg61a(GF3)
     g = cyclic_module(a, a.element_from_str("b*a"))[0]
     gp = direct_sum([g, projective(a, "1")])[0]
-    pairs += [(gp, _twisted(gp, rng)), (gp, direct_sum([projective(a, "1"), g])[0])]
+    pairs += [(gp, twisted(gp, rng)), (gp, direct_sum([projective(a, "1"), g])[0])]
     for m, n in pairs:
         assert m.field.char ** hom_dim(m, n) <= 4096  # the exhaustive branch
         ok, wit = is_isomorphic(m, n)
