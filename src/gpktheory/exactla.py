@@ -35,6 +35,14 @@ def _is_prime(n: int) -> bool:
 MAX_PRIME = 65521
 
 
+class CertificateError(RuntimeError):
+    """A computed result failed the check that certifies it.
+
+    Raised explicitly rather than asserted, so certificates also run under
+    `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: GF(char) for prime char <= MAX_PRIME, or QQ when

@@ -7,16 +7,28 @@ computed from the stable endomorphism algebra of the catalog sum: for a
 commutative stable End, K1 equals its unit group, and Whitehead reduction of
 invertible matrices over a commutative local ring certifies the GL/E
 collapse to units.
+
+The unit group is found by linear algebra, never by listing ring elements:
+x -> x^p is GF(p)-linear on a commutative ring, and the ranks of its powers
+give both the radical part 1 + J and the residue fields (see unit_group).
+Locality is one such rank.  Certificates raise exactla.CertificateError, so
+they also run under `python -O`.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 import numpy as np
 
 from . import exactla
-from .exactla import AbelianGroupDescription, FieldSpec, MatZ, group_from_presentation
+from .exactla import (
+    AbelianGroupDescription,
+    CertificateError,
+    FieldSpec,
+    MatZ,
+    group_from_presentation,
+)
 from .gorenstein import GPCatalog, certify_gp
 from .presentation import FiniteDimAlgebra
 from .rep import (
@@ -34,7 +46,6 @@ from .stable import StableEndAlgebra, stable_end_algebra
 
 CLASS_ENUM_CAP = 4096
 RANDOM_CLASSES = 128
-RING_ENUM_CAP = 65536
 
 
 class CatalogUnknown(Exception):
@@ -82,7 +93,8 @@ def _class_vector_row(a, items, x, z, e_rep):
     for part, mult in decompose(e_rep):
         if part.is_zero or is_projective(part):
             continue
-        assert certify_gp(part).is_gp, "middle-term summand not GP"
+        if not certify_gp(part).is_gp:
+            raise CertificateError("middle-term summand not GP")
         row[_match_item(part, items)] += mult
     for end in (x, z):
         if not is_projective(end):
@@ -105,7 +117,8 @@ def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0) -> K0
             # split sequence: middle is the direct sum (a sanity row)
             split_mid = direct_sum([x, z])[0]
             rows.append(_class_vector_row(a, items, x, z, split_mid))
-            assert all(c == 0 for c in rows[-1]), "split sequence gave a nonzero row"
+            if any(rows[-1]):
+                raise CertificateError("split sequence gave a nonzero row")
             if is_projective(z):
                 continue  # extensions out of a projective all split
             classes, enclosing = ext1_class_reps(z, x)
@@ -182,17 +195,19 @@ class FiniteCommutativeRing:
         self.dim = len(structure)
         self.unit = _vec(field, unit)
         self.name = name or f"ring of dimension {self.dim}"
-        f = field
         for i in range(self.dim):
             for j in range(self.dim):
-                assert (structure[i][j] == structure[j][i]).all(), "not commutative"
+                if (structure[i][j] != structure[j][i]).any():
+                    raise CertificateError(f"{self.name} is not commutative")
                 for k in range(self.dim):
                     lhs = self.mult(structure[i][j], self._basis_vec(k))
                     rhs = self.mult(self._basis_vec(i), structure[j][k])
-                    assert (lhs == rhs).all(), "not associative"
+                    if (lhs != rhs).any():
+                        raise CertificateError(f"{self.name} is not associative")
         for i in range(self.dim):
             e = self._basis_vec(i)
-            assert (self.mult(self.unit, e) == e).all(), "unit law fails"
+            if (self.mult(self.unit, e) != e).any():
+                raise CertificateError(f"unit law fails in {self.name}")
 
     @classmethod
     def from_field(cls, field: FieldSpec) -> "FiniteCommutativeRing":
@@ -225,7 +240,8 @@ class FiniteCommutativeRing:
 
     def canon_el(self, x):
         arr = _vec(self.field, x)
-        assert arr.shape == (self.dim,)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} coordinates, got shape {arr.shape}")
         return arr
 
     def zero(self):
@@ -266,96 +282,73 @@ class FiniteCommutativeRing:
             raise NotInvertible("ring element is not a unit")
         return self.field.matmul(inv, self.unit.reshape(-1, 1)).reshape(-1)
 
-    def elements(self):
+    def frobenius(self) -> np.ndarray:
+        """Matrix of x -> x^p, which is GF(p)-linear on a commutative ring of
+        characteristic p: column i holds b_i^p."""
         p = self.field.char
         if not p:
-            raise UnsupportedRing("element enumeration needs a finite field")
-        if p**self.dim > RING_ENUM_CAP:
-            raise UnsupportedRing("ring too large to enumerate")
-        from .rep import _all_coeff_vectors
-
-        for v in _all_coeff_vectors(p, self.dim):
-            yield _vec(self.field, v)
-
-    def units(self):
-        return [x for x in self.elements() if self.is_unit(x)]
+            raise UnsupportedRing("the Frobenius map needs a finite prime field")
+        return np.stack([self.power(self._basis_vec(i), p) for i in range(self.dim)]).T
 
     def is_local(self) -> bool:
-        """Nonunits closed under addition (equivalent to locality here)."""
-        nonunits = [x for x in self.elements() if not self.is_unit(x)]
+        """One residue field: dim ker(F - 1) counts the residue fields."""
         f = self.field
-        for x in nonunits:
-            for y in nonunits:
-                if self.is_unit(f.add(x, y)):
-                    return False
-        return True
+        fixed = self.dim - exactla.rank_of(f, f.sub(self.frobenius(), f.eye(self.dim)))
+        return fixed == 1
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _phi(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def unit_group(ring: FiniteCommutativeRing) -> AbelianGroupDescription:
-    """Structure of the unit group, from counts of solutions of x^d = 1."""
-    units = [tuple(int(c) for c in u) for u in ring.units()]
-    n = len(units)
-    if n == 1:
-        return AbelianGroupDescription(0, (), ("u",))
-    primary = {}
-    for ell in _prime_factors(n):
-        logs = [0]
-        j = 1
-        while True:
-            cnt = 0
-            for u in units:
-                p = ring.power(ring.canon_el(u), ell**j)
-                if (p == ring.unit).all():
-                    cnt += 1
-            a_j = 0
-            c = cnt
-            while c > 1:
-                assert c % ell == 0, "solution count is not a prime power"
-                c //= ell
-                a_j += 1
-            logs.append(a_j)
-            if ell**a_j == cnt and a_j == logs[-2]:
-                break
-            j += 1
-        # number of cyclic ell-factors with exponent >= j is logs[j]-logs[j-1]
-        exps = []
-        for j in range(1, len(logs)):
-            count_ge_j = logs[j] - logs[j - 1]
-            while len(exps) < count_ge_j:
-                exps.append(0)
-            for i in range(count_ge_j):
-                exps[i] = j
-        if exps:
-            primary[ell] = sorted(exps, reverse=True)
-    k = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(k):
-        d = 1
-        for ell, exps in primary.items():
-            if i < len(exps):
-                d *= ell ** exps[i]
-        factors.append(d)
-    factors = tuple(sorted(d for d in factors if d > 1))
-    total = 1
-    for d in factors:
-        total *= d
-    assert total == n, "invariant factors do not multiply to the unit count"
-    for i in range(len(factors) - 1):
-        assert factors[i + 1] % factors[i] == 0
+    """Structure of the unit group, from ranks of powers of the Frobenius F.
+
+    With J the radical, R^* = (1 + J) x (R/J)^*, the two orders being coprime.
+    For x in J, (1 + x)^(p^j) = 1 + x^(p^j), so 1 + J has p^(a_j) elements
+    of order dividing p^j, where a_j = dim ker F^j; hence a_j - a_(j-1)
+    cyclic factors of order >= p^j, and J = ker F^j once a_j stops growing.
+    R/J is a product of fields GF(p^(f_i)) with sum f_i = dim R/J, and
+    g(j) = dim ker(F^j - 1) = sum_i gcd(f_i, j) = sum_(e | j) phi(e) H(e) with
+    H(e) = #{i : e | f_i}, which recovers the f_i; (R/J)^* is the product of
+    the cyclic groups Z/(p^(f_i) - 1).
+    """
+    f = ring.field
+    p = f.char
+    n = ring.dim
+    frob = ring.frobenius()
+    eye = f.eye(n)
+    # 1 + J: a_j = dim ker F^j until it stops growing
+    kernel_dims = [0]
+    power = eye
+    while True:
+        power = f.matmul(power, frob)
+        kernel_dims.append(n - exactla.rank_of(f, power))
+        if kernel_dims[-1] == kernel_dims[-2]:
+            break
+    at_least = [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
+    orders = [p ** sum(1 for c in at_least if c > i) for i in range(at_least[0])]
+    # residue fields: H(j) from g(j), then the number of f_i equal to each d
+    s = n - kernel_dims[-1]
+    h = {}
+    power = eye
+    for j in range(1, s + 1):
+        power = f.matmul(power, frob)
+        g = n - exactla.rank_of(f, f.sub(power, eye))
+        h[j] = (g - sum(_phi(e) * h[e] for e in h if j % e == 0)) // _phi(j)
+    degree_counts = {}
+    for d in range(s, 0, -1):
+        degree_counts[d] = h[d] - sum(degree_counts[m] for m in range(2 * d, s + 1, d))
+    if sum(d * c for d, c in degree_counts.items()) != s:
+        raise CertificateError("residue degrees do not add up to dim R/J")
+    orders += [p**d - 1 for d, c in degree_counts.items() for _ in range(c)]
+    labels = [f"c{i}" for i in range(len(orders))]
+    rows = [[o if i == k else 0 for k in range(len(orders))] for i, o in enumerate(orders)]
+    factors = group_from_presentation(labels, rows).invariant_factors
+    if prod(factors) != prod(orders) or any(
+        b % a for a, b in zip(factors, factors[1:])
+    ):
+        raise CertificateError("invariant factors do not form a chain of the unit order")
     return AbelianGroupDescription(0, factors, ("u",))
 
 
@@ -369,7 +362,8 @@ class K1Class:
     value: tuple  # coordinates of the representing unit
 
     def mul(self, other: "K1Class") -> "K1Class":
-        assert self.ring is other.ring
+        if self.ring is not other.ring:
+            raise ValueError("K1 classes of different rings")
         prod = self.ring.mult(self.ring.canon_el(self.value), self.ring.canon_el(other.value))
         return K1Class(self.ring, tuple(int(c) for c in prod))
 
@@ -394,8 +388,8 @@ def whitehead_reduce(mat, ring: FiniteCommutativeRing) -> K1Class:
     n = len(mat)
     f = ring.field
     work = [[ring.canon_el(x) for x in row] for row in mat]
-    for row in work:
-        assert len(row) == n, "matrix is not square"
+    if any(len(row) != n for row in work):
+        raise ValueError("matrix is not square")
     left = [[ring.unit.copy() if i == j else ring.zero() for j in range(n)] for i in range(n)]
     right = [[ring.unit.copy() if i == j else ring.zero() for j in range(n)] for i in range(n)]
 
@@ -437,7 +431,8 @@ def whitehead_reduce(mat, ring: FiniteCommutativeRing) -> K1Class:
     diag = [work[i][i] for i in range(n)]
     u = ring.unit.copy()
     for d in diag:
-        assert ring.is_unit(d)
+        if not ring.is_unit(d):
+            raise CertificateError("reduced diagonal entry is not a unit")
         u = ring.mult(u, d)
     # certify: left * mat * right = diag, so inv = right * diag^{-1} * left
     def ring_matmul(a, b):
@@ -456,11 +451,12 @@ def whitehead_reduce(mat, ring: FiniteCommutativeRing) -> K1Class:
     ]
     original = [[ring.canon_el(x) for x in row] for row in mat]
     inv = ring_matmul(ring_matmul(right, dinv), left)
-    for prod in (ring_matmul(original, inv), ring_matmul(inv, original)):
+    for check in (ring_matmul(original, inv), ring_matmul(inv, original)):
         for i in range(n):
             for j in range(n):
                 expect = ring.unit if i == j else ring.zero()
-                assert (prod[i][j] == expect).all(), "certified inverse failed"
+                if (check[i][j] != expect).any():
+                    raise CertificateError("certified inverse failed")
     return K1Class(ring, tuple(int(c) for c in u))
 
 
@@ -485,13 +481,15 @@ def k1_gorenstein(a: FiniteDimAlgebra, catalog: GPCatalog) -> K1Result:
     lam = stable_end_algebra(big)
     ring = FiniteCommutativeRing.from_stable_end(lam)
     group = unit_group(ring)
-    units = ring.units()
-    nonunits = (ring.field.char**ring.dim) - len(units)
+    p = ring.field.char
+    order = prod(group.invariant_factors)
+    # |(R/J)^*| is prime to p, so the p-part of the order is |1 + J|
+    radical = 1
+    while order % (radical * p) == 0:
+        radical *= p
     description = (
         f"unit group of the stable endomorphism algebra "
-        f"(dimension {lam.dim} over GF({ring.field.char})): "
-        f"order {len(units)}, {group}"
+        f"(dimension {lam.dim} over GF({p})): order {order}, {group}; "
+        f"1 + radical has order {radical}"
     )
-    if nonunits > 1:
-        description += f"; 1 + radical contributes order {nonunits}"
     return K1Result(group, description, lam.dim)

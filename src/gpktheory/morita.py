@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exactla
 from .gorenstein import GPCatalog, gp_catalog
-from .ktheory import k0_gorenstein, k1_gorenstein
+from .ktheory import NoncommutativeStableEnd, k0_gorenstein, k1_gorenstein
 from .presentation import (
     FiniteDimAlgebra,
     Path,
@@ -67,7 +67,6 @@ def _rname(u: str, label: str) -> str:
     return f"{u}~{label}"
 
 
-_TENSOR_CACHE = {}
 _POINT_CACHE = {}
 
 
@@ -78,13 +77,14 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
     u.v, arrows are the left-action copies of b's arrows and the
     right-action copies of a's reversed arrows, and the relations are both
     factors' relations (one copy per vertex of the other factor) plus a
-    commutation square for every arrow pair.  The result is cached per
-    operand pair and its dimension is checked to be dim(b) * dim(a).
+    commutation square for every arrow pair.  The result is cached in b's
+    per-algebra storage, keyed by a, and its dimension is checked to be
+    dim(b) * dim(a).
     """
-    key = (id(b), id(a))
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None and hit[0] is b and hit[1] is a:
-        return hit[2]
+    cache = b._caches.setdefault("tensor", {})
+    hit = cache.get(id(a))
+    if hit is not None and hit[0] is a:
+        return hit[1]
     if b.field.char != a.field.char:
         raise AlgebraMismatch("the factors are defined over different fields")
     f = b.field
@@ -171,7 +171,7 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
             )
     t = build_algebra(qt, rels, f, max_len=b.loewy_length + a.loewy_length)
     assert t.dim == b.dim * a.dim
-    _TENSOR_CACHE[key] = (b, a, t)
+    cache[id(a)] = (a, t)
     return t
 
 
@@ -830,16 +830,25 @@ class SideInvariants:
     catalog: GPCatalog
     k0: object  # group description, or None when the catalog is unsettled
     k1: object  # K1Result, or None
+    warnings: tuple = ()  # why a K-group is missing from a settled catalog
 
 
 def side_invariants(
     a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32, seed: int = 0
 ) -> SideInvariants:
-    """GP catalog of a and, when it is settled, K0 and K1 of its stable category."""
+    """GP catalog of a and, when it is settled, K0 and K1 of its stable category.
+
+    K1 is None, with the reason in warnings, when the stable endomorphism
+    algebra is not commutative.
+    """
     cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
     if cat.verdict == "Unknown":
         return SideInvariants(a, cat, None, None)
-    return SideInvariants(a, cat, k0_gorenstein(a, cat, seed=seed), k1_gorenstein(a, cat))
+    k0 = k0_gorenstein(a, cat, seed=seed)
+    try:
+        return SideInvariants(a, cat, k0, k1_gorenstein(a, cat))
+    except NoncommutativeStableEnd as e:
+        return SideInvariants(a, cat, k0, None, (f"K1 not computed: {e}",))
 
 
 def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantComparison:
@@ -848,14 +857,15 @@ def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantCom
     K0, K1 and the CM verdicts are the invariants a stable equivalence of
     Morita type must preserve, and all_predicted_equal records exactly
     their conjunction.  The Gorenstein data is tabulated alongside for
-    reference.  An unsettled catalog propagates as None flags.
+    reference.  An unsettled catalog, or a K1 that could not be computed,
+    propagates as None flags.
     """
     sides = (first, second)
-    notes = [
-        f"catalog of the {which} algebra is unsettled; K-groups omitted"
-        for which, side in zip(("first", "second"), sides)
-        if side.catalog.verdict == "Unknown"
-    ]
+    notes = []
+    for which, side in zip(("first", "second"), sides):
+        if side.catalog.verdict == "Unknown":
+            notes.append(f"catalog of the {which} algebra is unsettled; K-groups omitted")
+        notes.extend(f"{which} algebra: {w}" for w in side.warnings)
     k0 = tuple(side.k0 for side in sides)
     k1 = tuple(side.k1 for side in sides)
     cm = tuple(side.catalog.verdict for side in sides)

@@ -1,5 +1,7 @@
 """Bimodules, balanced tensor products, and Morita-type certification."""
 
+import gc
+import weakref
 from random import Random
 
 import pytest
@@ -66,6 +68,18 @@ def test_tensor_algebra_shapes():
     # cached per operand pair
     assert tensor_algebra(b, b) is tb
     assert tensor_algebra(b, a).dim == b.dim * a.dim
+
+
+def test_tensor_cache_does_not_keep_its_factors_alive():
+    b = arrow_algebra()
+    a = loop_square_zero(GF2)
+    t = tensor_algebra(b, a)
+    assert tensor_algebra(b, a) is t
+    tt = tensor_algebra(a, a)
+    refs = [weakref.ref(x) for x in (a, b, t, tt)]
+    del a, b, t, tt
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
 
 
 def test_tensor_algebra_field_mismatch():
