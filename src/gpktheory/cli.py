@@ -19,8 +19,7 @@ say `regular` (the algebra over itself) or give explicit components:
 
 Commands emit a human-readable report by default and a schema-stable JSON
 object with --json; the exit code is 0 on success, 2 when a verdict is
-Unknown or K1 could not be computed (its stable endomorphism algebra is not
-commutative; the report then has "k1": null and a warning), and 1 on errors.
+Unknown, and 1 on errors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from pathlib import Path
 
 from .exactla import FieldSpec
 from .gorenstein import AtLeast, dimension_report, gp_catalog
-from .ktheory import NoncommutativeStableEnd, k0_gorenstein, k1_gorenstein
+from .ktheory import k0_gorenstein, k1_gorenstein
 from .morita import (
     Bimodule,
     _lname,
@@ -454,7 +453,7 @@ def _analyze_bundle(af, a, args):
         "algebra": _algebra_json(af, a),
         "dimension_report": _dimension_json(cat.report),
         "gp_catalog": _catalog_json(cat),
-        "warnings": list(cat.notes) + list(side.warnings),
+        "warnings": list(cat.notes),
     }
     if cat.verdict == "Unknown":
         out["k0"] = None
@@ -462,7 +461,7 @@ def _analyze_bundle(af, a, args):
         out["warnings"].append("catalog verdict Unknown: K-groups not computed")
     else:
         out["k0"] = _group_json(side.k0)
-        out["k1"] = _group_json(side.k1.group) if side.k1 else None
+        out["k1"] = _group_json(side.k1.group)
     return out, side
 
 
@@ -514,7 +513,7 @@ def cmd_analyze(args):
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
     out, side = _analyze_bundle(af, a, args)
-    return out, _render_analyze(out), (2 if side.k1 is None else 0)
+    return out, _render_analyze(out), (2 if side.catalog.verdict == "Unknown" else 0)
 
 
 def cmd_gp(args):
@@ -545,17 +544,13 @@ def _k_command(args, which):
     if which == "k0":
         out["k0"] = _group_json(k0_gorenstein(a, cat, seed=seed))
     else:
-        try:
-            out["k1"] = _group_json(k1_gorenstein(a, cat).group)
-        except NoncommutativeStableEnd as e:
-            out["k1"] = None
-            out["warnings"].append(f"K1 not computed: {e}")
+        out["k1"] = _group_json(k1_gorenstein(a, cat).group)
     lines = [
         f"algebra {af.name} over {af.field.label}",
         f"{which.upper()} (stable): {_render_group(out[which])}",
     ]
     lines.extend(f"warning: {w}" for w in out["warnings"])
-    return out, lines, (2 if out[which] is None else 0)
+    return out, lines, 0
 
 
 def cmd_k0(args):
@@ -622,7 +617,7 @@ def cmd_compare(args):
     lines.extend(_render_analyze(second))
     lines.append("--- comparison ---")
     lines.append(cmpres.describe())
-    return out, lines, (2 if side1.k1 is None or side2.k1 is None else 0)
+    return out, lines, (2 if "Unknown" in cmpres.cm else 0)
 
 
 def cmd_semt(args):

@@ -318,23 +318,23 @@ def unit_group(ring: FiniteCommutativeRing) -> AbelianGroupDescription:
     n = ring.dim
     frob = ring.frobenius()
     eye = f.eye(n)
-    # 1 + J: a_j = dim ker F^j until it stops growing
+    # 1 + J: a_j = dim ker F^j until it stops growing; powers[j] = F^j
     kernel_dims = [0]
-    power = eye
+    powers = [eye]
     while True:
-        power = f.matmul(power, frob)
-        kernel_dims.append(n - exactla.rank_of(f, power))
+        powers.append(f.matmul(powers[-1], frob))
+        kernel_dims.append(n - exactla.rank_of(f, powers[-1]))
         if kernel_dims[-1] == kernel_dims[-2]:
             break
     at_least = [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     orders = [p ** sum(1 for c in at_least if c > i) for i in range(at_least[0])]
     # residue fields: H(j) from g(j), then the number of f_i equal to each d
     s = n - kernel_dims[-1]
+    while len(powers) <= s:
+        powers.append(f.matmul(powers[-1], frob))
     h = {}
-    power = eye
     for j in range(1, s + 1):
-        power = f.matmul(power, frob)
-        g = n - exactla.rank_of(f, f.sub(power, eye))
+        g = n - exactla.rank_of(f, f.sub(powers[j], eye))
         h[j] = (g - sum(_phi(e) * h[e] for e in h if j % e == 0)) // _phi(j)
     degree_counts = {}
     for d in range(s, 0, -1):
@@ -484,9 +484,7 @@ def k1_gorenstein(a: FiniteDimAlgebra, catalog: GPCatalog) -> K1Result:
     p = ring.field.char
     order = prod(group.invariant_factors)
     # |(R/J)^*| is prime to p, so the p-part of the order is |1 + J|
-    radical = 1
-    while order % (radical * p) == 0:
-        radical *= p
+    radical = gcd(order, p ** order.bit_length())
     description = (
         f"unit group of the stable endomorphism algebra "
         f"(dimension {lam.dim} over GF({p})): order {order}, {group}; "

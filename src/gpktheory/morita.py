@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exactla
 from .gorenstein import GPCatalog, gp_catalog
-from .ktheory import NoncommutativeStableEnd, k0_gorenstein, k1_gorenstein
+from .ktheory import k0_gorenstein, k1_gorenstein
 from .presentation import (
     FiniteDimAlgebra,
     Path,
@@ -830,25 +830,16 @@ class SideInvariants:
     catalog: GPCatalog
     k0: object  # group description, or None when the catalog is unsettled
     k1: object  # K1Result, or None
-    warnings: tuple = ()  # why a K-group is missing from a settled catalog
 
 
 def side_invariants(
     a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32, seed: int = 0
 ) -> SideInvariants:
-    """GP catalog of a and, when it is settled, K0 and K1 of its stable category.
-
-    K1 is None, with the reason in warnings, when the stable endomorphism
-    algebra is not commutative.
-    """
+    """GP catalog of a and, when it is settled, K0 and K1 of its stable category."""
     cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
     if cat.verdict == "Unknown":
         return SideInvariants(a, cat, None, None)
-    k0 = k0_gorenstein(a, cat, seed=seed)
-    try:
-        return SideInvariants(a, cat, k0, k1_gorenstein(a, cat))
-    except NoncommutativeStableEnd as e:
-        return SideInvariants(a, cat, k0, None, (f"K1 not computed: {e}",))
+    return SideInvariants(a, cat, k0_gorenstein(a, cat, seed=seed), k1_gorenstein(a, cat))
 
 
 def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantComparison:
@@ -857,15 +848,14 @@ def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantCom
     K0, K1 and the CM verdicts are the invariants a stable equivalence of
     Morita type must preserve, and all_predicted_equal records exactly
     their conjunction.  The Gorenstein data is tabulated alongside for
-    reference.  An unsettled catalog, or a K1 that could not be computed,
-    propagates as None flags.
+    reference.  An unsettled catalog propagates as None flags.
     """
     sides = (first, second)
-    notes = []
-    for which, side in zip(("first", "second"), sides):
-        if side.catalog.verdict == "Unknown":
-            notes.append(f"catalog of the {which} algebra is unsettled; K-groups omitted")
-        notes.extend(f"{which} algebra: {w}" for w in side.warnings)
+    notes = [
+        f"catalog of the {which} algebra is unsettled; K-groups omitted"
+        for which, side in zip(("first", "second"), sides)
+        if side.catalog.verdict == "Unknown"
+    ]
     k0 = tuple(side.k0 for side in sides)
     k1 = tuple(side.k1 for side in sides)
     cm = tuple(side.catalog.verdict for side in sides)

@@ -166,37 +166,6 @@ def test_unknown_verdict_exits_two():
     assert j["k0"] is None
 
 
-KX3_GF5 = "algebra kx3 over GF(5)\nvertices 1\narrow x : 1 -> 1\nrelation x*x*x = 0\n"
-
-
-def test_noncommutative_stable_end_reports_k1_null_and_exits_two():
-    path = tmp_file(KX3_GF5)
-    try:
-        code, j = run_json(["analyze", path])
-        assert code == 2
-        assert j["k1"] is None
-        assert j["k0"]["invariant_factors"] == [3] and j["k0"]["free_rank"] == 0
-        assert "K1 not computed: stable endomorphism algebra is not commutative" in j["warnings"]
-        code, out, err = run(["analyze", path])
-        assert code == 2 and err == ""
-        assert "K0 (stable): Z/3" in out and "K1 (stable): not computed" in out
-        code, j = run_json(["k1", path])
-        assert code == 2
-        assert j["k1"] is None
-        assert any("not commutative" in w for w in j["warnings"])
-        code, j = run_json(["compare", path, "example61A.alg", "--field", "5"])
-        assert code == 2
-        assert j["first"]["k1"] is None and j["second"]["k1"]["invariant_factors"] == [4]
-        assert j["comparison"]["k1_equal"] is None
-        assert j["comparison"]["all_predicted_equal"] is False
-        code, out, _ = run(["compare", path, "example61A.alg", "--field", "5"])
-        assert "note: first algebra: K1 not computed" in out
-        code, j = run_json(["k0", path])
-        assert code == 0 and j["k0"]["invariant_factors"] == [3]
-    finally:
-        os.unlink(path)
-
-
 def test_k1_beyond_the_old_enumeration_cap():
     # self-injective Nakayama(6, 2): stable End is GF(7)^6, 7^6 > 65536 elements
     lines = ["algebra nak6 over GF(7)", "vertices 1 2 3 4 5 6"]
