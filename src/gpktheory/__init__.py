@@ -3,7 +3,8 @@
 The package is organised bottom-up:
 
 - :mod:`gpktheory.exactla` — exact linear algebra over prime fields and the
-  rationals, plus finitely generated abelian group arithmetic.
+  rationals, finitely generated abelian group arithmetic, and algebras given
+  by structure constants (product, radical, quotients).
 - :mod:`gpktheory.presentation` — quivers, paths, admissible relations, and
   finite-dimensional path-algebra quotients with verified multiplication.
 - :mod:`gpktheory.rep` — finite-dimensional left modules: Hom/Ext, (co)kernels,

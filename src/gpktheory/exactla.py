@@ -34,6 +34,13 @@ def _is_prime(n: int) -> bool:
 # sums of up to 2**31 of them are exact
 MAX_PRIME = 65521
 
+# a search over the p**n coefficient vectors of GF(p)^n is exhaustive when
+# p**n is at most this, and sampled otherwise
+EXHAUSTIVE_CAP = 4096
+
+# bytes one temporary of a chunked stack computation may take
+STACK_BYTES = 1 << 20
+
 
 class CertificateError(RuntimeError):
     """A computed result failed the check that certifies it.
@@ -629,3 +636,172 @@ def group_from_presentation(generators, relations) -> AbelianGroupDescription:
     factors = tuple(d for d in nonzero if d >= 2)
     free_rank = n - len(nonzero)
     return AbelianGroupDescription(free_rank, factors, generators)
+
+
+# ---------------------------------------------------------------------------
+# finite-dimensional algebras given by structure constants
+
+
+class StructureAlgebra:
+    """A finite-dimensional algebra with unit over a prime field or QQ.
+
+    structure[i, j] holds the coordinates of b_i b_j on the basis
+    b_0 .. b_(e-1).  Elements are coordinate vectors; every product method
+    also takes stacks of them, row by row in the last axis.  Construction
+    checks shapes only: certify() checks the unit and associativity.
+    """
+
+    def __init__(self, field: FieldSpec, structure, unit):
+        self.field = field
+        self.structure = field.array(structure)
+        self.dim = self.structure.shape[0]
+        self.unit = field.array(list(unit)).reshape(-1)
+        if self.structure.shape != (self.dim,) * 3 or self.unit.shape != (self.dim,):
+            raise ValueError("structure constants must be (e, e, e) with a unit of length e")
+
+    def _canon(self, a: np.ndarray) -> np.ndarray:
+        return a % self.field.char if self.field.char else a
+
+    def _times_basis(self, x) -> np.ndarray:
+        """[..., j, :] holds the coordinates of x b_j."""
+        e = self.dim
+        x = np.asarray(x)
+        xt = self._canon(x @ self.structure.reshape(e, e * e))
+        return xt.reshape(x.shape[:-1] + (e, e))
+
+    def mult(self, x, y) -> np.ndarray:
+        """The product x y: one contraction with the structure constants per
+        factor, mod p over GF(p) and on Fractions over QQ."""
+        y = np.asarray(y)
+        return self._canon(y[..., None, :] @ self._times_basis(x))[..., 0, :]
+
+    def left_mult(self, x) -> np.ndarray:
+        """Matrix of y -> x y, acting on column vectors."""
+        return np.swapaxes(self._times_basis(x), -1, -2)
+
+    def power(self, x, k: int) -> np.ndarray:
+        """x^k by repeated squaring."""
+        x = np.asarray(x)
+        out = np.broadcast_to(self.unit, x.shape).copy()
+        while k:
+            if k & 1:
+                out = self.mult(out, x)
+            x = self.mult(x, x)
+            k >>= 1
+        return out
+
+    def zero(self) -> np.ndarray:
+        return self.field.zeros((self.dim,))
+
+    def is_commutative(self) -> bool:
+        return bool((self.structure == self.structure.transpose(1, 0, 2)).all())
+
+    def certify(self):
+        """Raise CertificateError unless the unit is two-sided and
+        (b_i b_j) b_k = b_i (b_j b_k) for every basis triple.
+
+        The triples are checked in chunks of (i, j) pairs, so no temporary
+        exceeds STACK_BYTES and no e^4 tensor is built.
+        """
+        e = self.dim
+        eye = self.field.eye(e)
+        if not (
+            (self.mult(self.unit, eye) == eye).all()
+            and (self.mult(eye, self.unit) == eye).all()
+        ):
+            raise CertificateError("unit law fails")
+        t = self.structure
+        pairs = t.reshape(e * e, e)  # row i*e + j: coordinates of b_i b_j
+        chunk = max(1, STACK_BYTES // (8 * max(e, 1) ** 2))
+        for start in range(0, e * e, chunk):
+            ij = np.arange(start, min(start + chunk, e * e))
+            # [n, k, :] of each side: (b_i b_j) b_k and b_i (b_j b_k)
+            lhs = self._times_basis(pairs[ij])
+            rhs = self._canon(t[ij % e] @ t[ij // e])
+            if not (lhs == rhs).all():
+                raise CertificateError("product is not associative")
+        return self
+
+    def frobenius(self) -> np.ndarray:
+        """Matrix of x -> x^p, which is GF(p)-linear on a commutative algebra
+        of characteristic p: column i holds b_i^p."""
+        p = self.field.char
+        if not p:
+            raise ValueError("the Frobenius map needs a finite prime field")
+        return self.power(self.field.eye(self.dim), p).T
+
+    def radical(self) -> np.ndarray:
+        """RREF basis of the Jacobson radical.  Over GF(p) only.
+
+        Ronyai's chain (Cohen, Ivanyos and Wales, JPAA 117, 1997) in the left
+        regular representation x -> L_x on e coordinates: with an integer
+        lift of L_x, g_i(x) = (Tr(lift^(p^i)) mod p^(i+1)) / p^i.  Then
+        I_(-1) = A, I_i = {x in I_(i-1) : g_i(x b_k) = 0 for every k}, and
+        rad A = I_l with p^l <= e < p^(l+1).  Each g_i is GF(p)-linear on
+        I_(i-1), so every step is one kernel.  g_0 is the trace form, which
+        alone gives the radical when p > e.
+        """
+        f = self.field
+        p = f.char
+        if not p:
+            raise ValueError("the radical is computed over GF(p) only")
+        e = self.dim
+        space = f.eye(e)  # rows span I_(i-1)
+        trace = np.trace(self.structure, axis1=1, axis2=2) % p  # Tr L_(b_k)
+        pk = 1
+        while space.shape[0] and pk <= e:
+            prods = self._times_basis(space)  # [r, k, :] = v_r b_k
+            if pk == 1:
+                vals = (prods @ trace) % p
+            else:
+                vals = self._lifted_traces(prods.reshape(-1, e), pk).reshape(prods.shape[:2])
+            combos = kernel(f, vals.T)
+            space = rref(f, (combos @ space) % p)[0]
+            pk *= p
+        return space
+
+    def _lifted_traces(self, xs: np.ndarray, pk: int) -> np.ndarray:
+        """(Tr(lift^pk) mod p*pk) / pk for each row x of xs, where lift is L_x
+        with its residues read as integers and pk = p^i.
+
+        Entries stay below q = p*pk <= p*e <= e^2, so the int64 sums of e
+        products stay exact while e^5 < 2^63.
+        """
+        p = self.field.char
+        q = p * pk
+        e = self.dim
+        out = np.zeros(len(xs), dtype=np.int64)
+        chunk = max(1, STACK_BYTES // (8 * e * e))
+        for start in range(0, len(xs), chunk):
+            base = self.left_mult(xs[start : start + chunk])
+            acc = np.broadcast_to(np.eye(e, dtype=np.int64), base.shape).copy()
+            k = pk
+            while k:
+                if k & 1:
+                    acc = (acc @ base) % q
+                base = (base @ base) % q
+                k >>= 1
+            traces = np.trace(acc, axis1=1, axis2=2) % q
+            if (traces % pk).any():
+                raise CertificateError(f"a lifted trace is not divisible by {pk}")
+            out[start : start + chunk] = traces // pk
+        return out
+
+    def quotient(self, rows) -> "StructureAlgebra":
+        """A / I for the two-sided ideal I spanned by rows.
+
+        The basis of A / I is the image of the b_c whose column c is not a
+        pivot of the RREF of I; the result keeps those columns as
+        basis_cols, so placing coordinates there lifts an element to A.
+        """
+        f = self.field
+        red, piv = rref(f, np.asarray(rows))
+        free = [c for c in range(self.dim) if c not in set(piv)]
+
+        def reduce(v):
+            # subtracting the pivot rows leaves the representative supported on free
+            return self._canon(v - v[..., piv] @ red)[..., free]
+
+        out = StructureAlgebra(f, reduce(self.structure[np.ix_(free, free)]), reduce(self.unit))
+        out.basis_cols = free
+        return out

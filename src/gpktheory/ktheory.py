@@ -2,15 +2,20 @@
 
 K0 is presented by the catalog's indecomposable non-projective classes with
 one relation row [Y] - [X] - [Z] per harvested short exact sequence of GP
-modules (projective classes are zero), reduced by Smith normal form.  K1 is
+modules (projective classes are zero), reduced by Smith normal form.  The
+extensions along xi and c*xi (c != 0) have isomorphic middle terms, so an
+exhaustive harvest takes one class per line of each Ext^1 space.  K1 is
 computed from the stable endomorphism algebra of the catalog sum: for a
 commutative stable End, K1 equals its unit group, and Whitehead reduction of
 invertible matrices over a commutative local ring certifies the GL/E
 collapse to units.
 
-The unit group is found by linear algebra, never by listing ring elements:
-x -> x^p is GF(p)-linear on a commutative ring, and the ranks of its powers
-give both the radical part 1 + J and the residue fields (see unit_group).
+FiniteCommutativeRing is the shared exactla.StructureAlgebra with a
+commutativity certificate; a ring taken from a stable End reuses the unit
+and associativity certificate the stable End already passed.  The unit
+group is found by linear algebra, never by listing ring elements: x -> x^p
+is GF(p)-linear on a commutative ring, and the ranks of its powers give
+both the radical part 1 + J and the residue fields (see unit_group).
 Locality is one such rank.  Certificates raise exactla.CertificateError, so
 they also run under `python -O`.
 """
@@ -23,16 +28,19 @@ import numpy as np
 
 from . import exactla
 from .exactla import (
+    EXHAUSTIVE_CAP,
     AbelianGroupDescription,
     CertificateError,
     FieldSpec,
     MatZ,
+    StructureAlgebra,
     group_from_presentation,
 )
 from .gorenstein import GPCatalog, certify_gp
 from .presentation import FiniteDimAlgebra
 from .rep import (
     Representation,
+    _line_coeff_vectors,
     decompose,
     direct_sum,
     ext1_class_reps,
@@ -44,7 +52,6 @@ from .rep import (
 )
 from .stable import StableEndAlgebra, stable_end_algebra
 
-CLASS_ENUM_CAP = 4096
 RANDOM_CLASSES = 128
 
 
@@ -126,8 +133,10 @@ def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0) -> K0
             if d == 0:
                 continue
             f = a.field
-            if f.char and f.char**d <= CLASS_ENUM_CAP:
-                combos = _all_nonzero_vectors(f.char, d)
+            if f.char and f.char**d <= EXHAUSTIVE_CAP:
+                # the middle terms along xi and c*xi (c != 0) are isomorphic,
+                # so one class per line gives every distinct row
+                combos = _line_coeff_vectors(f.char, d)
             else:
                 warnings.append(
                     f"ext classes sampled (dimension {d}) for a pair of "
@@ -143,14 +152,6 @@ def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0) -> K0
                 rows.append(_class_vector_row(a, items, x, z, e_rep))
     matrix = MatZ.make(rows) if rows else MatZ.make([])
     return K0Input(catalog, labels, matrix, tuple(warnings))
-
-
-def _all_nonzero_vectors(p: int, n: int):
-    from .rep import _all_coeff_vectors
-
-    for v in _all_coeff_vectors(p, n):
-        if any(c != 0 for c in v):
-            yield v
 
 
 def _sampled_vectors(f: FieldSpec, n: int, seed: int):
@@ -175,39 +176,19 @@ def k0_gorenstein(
 # finite commutative rings and their unit groups
 
 
-def _vec(field: FieldSpec, data) -> np.ndarray:
-    """A 1-d coefficient vector over the field (FieldSpec.array is 2-d only)."""
-    arr = np.array(list(data))
-    if field.char:
-        return arr.astype(np.int64).reshape(-1) % field.char
-    from fractions import Fraction
-
-    return np.array([Fraction(x) for x in arr.reshape(-1)], dtype=object)
-
-
-class FiniteCommutativeRing:
+class FiniteCommutativeRing(StructureAlgebra):
     """A finite-dimensional commutative algebra over a prime field, given by
-    structure constants on a basis.  Elements are coordinate vectors."""
+    structure constants on a basis.  Elements are coordinate vectors.
+
+    Construction certifies commutativity, the unit and associativity.
+    """
 
     def __init__(self, field: FieldSpec, structure, unit, name: str = ""):
-        self.field = field
-        self.structure = structure  # structure[i][j] = basis-coeff vector of b_i b_j
-        self.dim = len(structure)
-        self.unit = _vec(field, unit)
+        super().__init__(field, structure, unit)
         self.name = name or f"ring of dimension {self.dim}"
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if (structure[i][j] != structure[j][i]).any():
-                    raise CertificateError(f"{self.name} is not commutative")
-                for k in range(self.dim):
-                    lhs = self.mult(structure[i][j], self._basis_vec(k))
-                    rhs = self.mult(self._basis_vec(i), structure[j][k])
-                    if (lhs != rhs).any():
-                        raise CertificateError(f"{self.name} is not associative")
-        for i in range(self.dim):
-            e = self._basis_vec(i)
-            if (self.mult(self.unit, e) != e).any():
-                raise CertificateError(f"unit law fails in {self.name}")
+        if not self.is_commutative():
+            raise CertificateError(f"{self.name} is not commutative")
+        self.certify()
 
     @classmethod
     def from_field(cls, field: FieldSpec) -> "FiniteCommutativeRing":
@@ -219,10 +200,8 @@ class FiniteCommutativeRing:
     def dual_numbers(cls, field: FieldSpec) -> "FiniteCommutativeRing":
         """field[t] / (t^2), a commutative local non-field ring."""
         s = field.zeros((2, 2, 2))
-        s[0][0] = _vec(field, [1, 0])
-        s[0][1] = _vec(field, [0, 1])
-        s[1][0] = _vec(field, [0, 1])
-        s[1][1] = _vec(field, [0, 0])
+        # 1 * 1 = 1 and 1 * t = t * 1 = t; t * t = 0
+        s[0, 0, 0] = s[0, 1, 1] = s[1, 0, 1] = field.canon(1)
         return cls(field, s, [1, 0], name=f"GF({field.char})[t]/(t^2)")
 
     @classmethod
@@ -231,64 +210,26 @@ class FiniteCommutativeRing:
             raise NoncommutativeStableEnd(
                 "stable endomorphism algebra is not commutative"
             )
-        return cls(lam.field, lam.structure, lam.unit, name="stable End")
-
-    def _basis_vec(self, i):
-        v = self.field.zeros((self.dim,))
-        v[i] = self.field.canon(1)
-        return v
+        # lam certified its unit and associativity when it was built
+        ring = cls.__new__(cls)
+        StructureAlgebra.__init__(ring, lam.field, lam.structure, lam.unit)
+        ring.name = "stable End"
+        return ring
 
     def canon_el(self, x):
-        arr = _vec(self.field, x)
+        arr = self.field.array(list(x)).reshape(-1)
         if arr.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got shape {arr.shape}")
         return arr
 
-    def zero(self):
-        return self.field.zeros((self.dim,))
-
-    def mult(self, x, y):
-        f = self.field
-        out = f.zeros((self.dim,))
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                out = f.add(out, f.scale(f.canon(int(x[i]) * int(y[j])), self.structure[i][j]))
-        return out
-
-    def power(self, x, k: int):
-        result = self.unit.copy()
-        base = x
-        while k:
-            if k & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base)
-            k >>= 1
-        return result
-
-    def mult_matrix(self, x):
-        cols = [self.mult(x, self._basis_vec(j)) for j in range(self.dim)]
-        return np.stack(cols).T
-
     def is_unit(self, x) -> bool:
-        return exactla.invert(self.field, self.mult_matrix(x)) is not None
+        return exactla.invert(self.field, self.left_mult(x)) is not None
 
     def inverse(self, x):
-        inv = exactla.invert(self.field, self.mult_matrix(x))
+        inv = exactla.invert(self.field, self.left_mult(x))
         if inv is None:
             raise NotInvertible("ring element is not a unit")
         return self.field.matmul(inv, self.unit.reshape(-1, 1)).reshape(-1)
-
-    def frobenius(self) -> np.ndarray:
-        """Matrix of x -> x^p, which is GF(p)-linear on a commutative ring of
-        characteristic p: column i holds b_i^p."""
-        p = self.field.char
-        if not p:
-            raise UnsupportedRing("the Frobenius map needs a finite prime field")
-        return np.stack([self.power(self._basis_vec(i), p) for i in range(self.dim)]).T
 
     def is_local(self) -> bool:
         """One residue field: dim ker(F - 1) counts the residue fields."""
@@ -315,6 +256,8 @@ def unit_group(ring: FiniteCommutativeRing) -> AbelianGroupDescription:
     """
     f = ring.field
     p = f.char
+    if not p:
+        raise UnsupportedRing("the Frobenius map needs a finite prime field")
     n = ring.dim
     frob = ring.frobenius()
     eye = f.eye(n)

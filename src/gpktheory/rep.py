@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from . import exactla
-from .exactla import FieldSpec
+from .exactla import EXHAUSTIVE_CAP, CertificateError, FieldSpec, StructureAlgebra
 from .presentation import FiniteDimAlgebra, Path, opposite
 
 
@@ -848,7 +848,7 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: in
     if hs.dim == 0:
         return False, None
     f = m.field
-    if f.char and f.char ** hs.dim <= 4096:
+    if f.char and f.char ** hs.dim <= EXHAUSTIVE_CAP:
         # isomorphy survives nonzero scalars, so one vector per line suffices
         for coeffs in _line_coeff_vectors(f.char, hs.dim):
             cand = hs.element(coeffs)
@@ -924,90 +924,9 @@ def _fitting_split(m: Representation, g: Morphism):
     gm = Morphism(m, m, powered)
     ker, _ = kernel_subrep(gm)
     img, _ = image_subrep(gm)
-    assert ker.total_dim + img.total_dim == m.total_dim
+    if ker.total_dim + img.total_dim != m.total_dim:
+        raise CertificateError("Fitting parts do not add up to the module")
     return ker, img
-
-
-def _endo_radical_and_quotient(ends: HomSpace):
-    """Structure constants of End(m)/rad over the prime field.
-
-    Returns (mult_table, radical_coeff_rows, basis_count) where the table is
-    over the coefficient space of the hom basis.
-    """
-    f = ends.domain.field
-    p = f.char
-    e = ends.dim
-    basis_mat = np.stack([b.as_vector() for b in ends.basis]).astype(np.int64)
-    # structure constants c[i][j] = coords of basis_i . basis_j
-    table = []
-    for i in range(e):
-        row = []
-        for j in range(e):
-            comp = ends.basis[i].compose(ends.basis[j])
-            coeffs = exactla.solve_raw(f, basis_mat.T, comp.as_vector())
-            assert coeffs is not None
-            row.append(coeffs)
-        table.append(row)
-
-    def mul_vec(x, y):
-        out = np.zeros(e, dtype=np.int64)
-        for i in range(e):
-            if x[i] == 0:
-                continue
-            for j in range(e):
-                if y[j] == 0:
-                    continue
-                out = (out + x[i] * y[j] * table[i][j]) % p
-        return out
-
-    def trace_of(vecmat):
-        # trace of left multiplication by the element with coords vecmat
-        t = 0
-        for i in range(e):
-            col = np.zeros(e, dtype=np.int64)
-            col[i] = 1
-            t = (t + mul_vec(vecmat, col)[i]) % p
-        return t
-
-    # radical chain: A_{k+1} = {x in A_k : Tr((x y)^{p^k}) = 0 for all y in A_k};
-    # over the prime field these conditions are linear in x, and the chain
-    # reaches the radical once p^k >= dim
-    space = np.eye(e, dtype=np.int64)  # rows span the current subspace
-    k = 0
-    while space.shape[0]:
-        pk = p**k
-        rows = []
-        for y_idx in range(space.shape[0]):
-            row = []
-            for x_idx in range(space.shape[0]):
-                xy = mul_vec(space[x_idx], space[y_idx])
-                t = trace_of(_vec_power(mul_vec, xy, pk, e))
-                row.append(t)
-            rows.append(row)
-        # entry [y][x]: condition rows over x for each y
-        mat = np.array(rows, dtype=np.int64) % p
-        ker = exactla.kernel(FieldSpec(p), mat)
-        new_space = (
-            (ker @ space) % p if ker.shape[0] else np.zeros((0, e), dtype=np.int64)
-        )
-        space, _ = exactla.rref(FieldSpec(p), new_space)
-        if pk >= e:
-            break
-        k += 1
-    return table, space, e, mul_vec
-
-
-def _vec_power(mul_vec, x, k, e):
-    out = None
-    base = x
-    while k:
-        if k & 1:
-            out = base if out is None else mul_vec(out, base)
-        base = mul_vec(base, base)
-        k >>= 1
-    if out is None:
-        out = np.zeros(e, dtype=np.int64)
-    return out
 
 
 def decompose(m: Representation, seed: int = 0):
@@ -1018,11 +937,15 @@ def decompose(m: Representation, seed: int = 0):
     shifts that cannot split m (invertible at every vertex) are screened
     out first by one stacked rank test per vertex, and an invertible or
     nilpotent shift is rejected by ranks alone.  Failure to split is then
-    certified through the endomorphism ring: a batched exhaustive search
-    for a nontrivial idempotent when End(m) is small, radical quotient
-    inspection otherwise.  Over QQ only opportunistic splitting is
-    available and FieldUnsupported is raised when certification would be
-    required.
+    certified through the endomorphism ring A = End(m), a
+    `StructureAlgebra` on the coordinates of the hom basis: a batched
+    exhaustive search for a nontrivial idempotent when A is small, and
+    otherwise S = A / rad A, which is a field exactly when m is
+    indecomposable.  A commutative S splits into as many fields as its
+    Frobenius fixed space has dimensions, and a fixed vector outside the
+    scalars gives a split; a noncommutative S means m is decomposable.
+    Over QQ only opportunistic splitting is available and FieldUnsupported
+    is raised when certification would be required.
     """
     if m.is_zero:
         return []
@@ -1062,7 +985,7 @@ def _decompose_rec(m: Representation, seed: int):
     if not f.char:
         raise FieldUnsupported("cannot certify indecomposability over QQ")
     # certification over GF(p)
-    if f.char**ends.dim <= 4096:
+    if f.char**ends.dim <= EXHAUSTIVE_CAP:
         coeffs = _first_idempotent(ends)
         if coeffs is None:
             return [m]
@@ -1072,62 +995,36 @@ def _decompose_rec(m: Representation, seed: int):
             or _morph_eq(e, identity_morphism(m))
             or not _morph_eq(e.compose(e), e)
         ):
-            raise RuntimeError("batched idempotent search returned a non-idempotent")
+            raise CertificateError("batched idempotent search returned a non-idempotent")
         # nontrivial idempotent: m = im(e) + ker(e)
         img, _ = image_subrep(e)
         ker, _ = kernel_subrep(e)
-        assert img.total_dim + ker.total_dim == m.total_dim
-        assert 0 < img.total_dim < m.total_dim
+        if img.total_dim + ker.total_dim != m.total_dim or img.is_zero or ker.is_zero:
+            raise CertificateError("idempotent does not split the module")
         return _decompose_rec(img, seed + 1) + _decompose_rec(ker, seed + 1)
-    # radical-quotient inspection
-    table, rad_rows, e, mul_vec = _endo_radical_and_quotient(ends)
-    p = f.char
-    fp = FieldSpec(p)
-    # quotient S = End/rad: complement coordinates
-    red, piv = exactla.rref(fp, rad_rows) if rad_rows.shape[0] else (rad_rows, [])
-    free = [c for c in range(e) if c not in set(piv)]
-    if len(free) <= 1:
+    # m is indecomposable iff End(m) / rad is a field
+    end = _end_algebra(ends)
+    s = end.quotient(end.radical())
+    if s.dim <= 1:
         return [m]
-    # commutativity of S: check commutators land in rad
-    def in_rad(vec):
-        if not red.shape[0]:
-            return not vec.any()
-        stacked = np.concatenate([red, vec.reshape(1, -1)], axis=0)
-        return exactla.rank_of(fp, stacked) == red.shape[0]
-
-    commutative = True
-    for i in free:
-        for j in free:
-            ei = np.zeros(e, dtype=np.int64)
-            ei[i] = 1
-            ej = np.zeros(e, dtype=np.int64)
-            ej[j] = 1
-            comm = (mul_vec(ei, ej) - mul_vec(ej, ei)) % p
-            if not in_rad(comm):
-                commutative = False
-                break
-        if not commutative:
-            break
-    if commutative:
-        # count field factors of S via the Frobenius fixed space
-        fixed_dim, frob_fixed = _frobenius_fixed(fp, red, free, e, mul_vec)
-        if fixed_dim <= 1:
+    if s.is_commutative():
+        # S is a product of fields, one per dimension of the Frobenius fixed space
+        fixed = exactla.kernel(f, f.sub(s.frobenius(), f.eye(s.dim)))
+        if fixed.shape[0] <= 1:
             return [m]
-        # a fixed vector outside the span of 1 yields a deterministic split
-        for vec in frob_fixed:
-            for lam in range(p):
-                shifted_coeffs = vec.copy()
-                # subtract lam * identity element coordinates
-                one_coeffs = _identity_coords(ends)
-                shifted_coeffs = (shifted_coeffs - lam * one_coeffs) % p
-                g = ends.element(shifted_coeffs)
+        # a fixed vector outside the span of 1 lifts to a deterministic split
+        for vec in fixed:
+            lifted = f.zeros((ends.dim,))
+            lifted[s.basis_cols] = vec
+            for lam in range(f.char):
+                g = ends.element(f.sub(lifted, f.scale(lam, end.unit)))
                 if g.is_zero:
                     continue
                 split = _fitting_split(m, g)
                 if split is not None:
                     a, b = split
                     return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
-        raise RuntimeError("commutative split vector found no splitting")
+        raise CertificateError("commutative split vector found no splitting")
     # noncommutative semisimple quotient: decomposable; retry harder
     for extra in range(8):
         rng2 = Random(seed + 1000 + extra)
@@ -1143,7 +1040,7 @@ def _decompose_rec(m: Representation, seed: int):
 
 
 # bytes a temporary of the stacked searches below may take
-_STACK_BYTES = 1 << 20
+_STACK_BYTES = exactla.STACK_BYTES
 
 
 def _shift_singular_mask(m: Representation, cands, lambdas) -> np.ndarray:
@@ -1189,83 +1086,65 @@ def _first_fitting_split(m: Representation, cands, lambdas):
     return None
 
 
-def _first_idempotent(ends: HomSpace):
-    """Coefficients of the first idempotent other than 0 and 1 in End(m),
-    in `_all_coeff_vectors` order, or None.  Over GF(p) only.
+def _end_algebra(ends: HomSpace) -> StructureAlgebra:
+    """End(m) on the coordinates of its hom basis.  Over GF(p) only.
 
-    x = sum c_i b_i is idempotent iff sum_i c_i sum_j c_j (b_i b_j) = x,
-    so the products b_i b_j are formed once and every batch of coefficient
-    vectors is tested with one (N, e) x (e, D) product per i.
+    The products b_i b_j are formed by one stacked matrix product per
+    vertex, in chunks of rows i that keep each temporary under
+    _STACK_BYTES.  The hom basis is `exactla.kernel`'s: each b_i is 1 at a
+    column where every other b_j is 0, so coordinates are read at those
+    columns, and every product is checked to lie in the hom space.
     """
     m = ends.domain
     p = m.field.char
     e = ends.dim
+    verts = m.algebra.quiver.vertices
     basis = np.stack([b.as_vector() for b in ends.basis])
-    prods = np.stack(
-        [np.stack([bi.compose(bj).as_vector() for bj in ends.basis]) for bi in ends.basis]
-    )
-    ident = identity_morphism(m).as_vector()
+    cols = ((basis == 1) & (np.count_nonzero(basis, axis=0) == 1)).argmax(axis=1)
+
+    def coords(vecs):
+        out = vecs[:, cols]
+        if ((out @ basis) % p != vecs).any():
+            raise CertificateError("a product escapes End(m)")
+        return out
+
+    blocks = {v: np.stack([b.blocks[v] for b in ends.basis]) for v in verts}
+    table = np.zeros((e, e, e), dtype=np.int64)
+    chunk = max(1, _STACK_BYTES // (8 * e * basis.shape[1]))
+    for start in range(0, e, chunk):
+        rows = slice(start, start + chunk)
+        prods = [(blocks[v][rows, None] @ blocks[v]) % p for v in verts]
+        flat = np.concatenate([b.reshape(b.shape[0] * e, -1) for b in prods], axis=1)
+        table[rows] = coords(flat).reshape(-1, e, e)
+    unit = coords(identity_morphism(m).as_vector()[None, :])[0]
+    return StructureAlgebra(m.field, table, unit)
+
+
+def _first_idempotent(ends: HomSpace):
+    """Coefficients of the first idempotent other than 0 and 1 in End(m),
+    in `_all_coeff_vectors` order, or None.  Over GF(p) only.
+
+    Coefficient vectors are tested in batches with the product of
+    `_end_algebra`, each batch sized so the product's temporaries stay
+    under _STACK_BYTES.
+    """
+    end = _end_algebra(ends)
+    p = ends.domain.field.char
+    e = ends.dim
     place = p ** np.arange(e, dtype=np.int64)
     total = p**e
-    batch = max(1, _STACK_BYTES // (8 * basis.shape[1]))
+    batch = max(1, _STACK_BYTES // (8 * e * e))
     for start in range(0, total, batch):
         idx = np.arange(start, min(start + batch, total), dtype=np.int64)
         coeffs = (idx[:, None] // place) % p
-        elems = (coeffs @ basis) % p
-        square = np.zeros_like(elems)
-        for i in range(e):
-            square = (square + coeffs[:, i, None] * ((coeffs @ prods[i]) % p)) % p
         hits = (
-            (square == elems).all(axis=1)
-            & elems.any(axis=1)
-            & (elems != ident).any(axis=1)
+            (end.mult(coeffs, coeffs) == coeffs).all(axis=1)
+            & coeffs.any(axis=1)
+            & (coeffs != end.unit).any(axis=1)
         )
         if hits.any():
             return [int(c) for c in coeffs[hits.argmax()]]
     return None
-
-
-def _identity_coords(ends: HomSpace) -> np.ndarray:
-    f = ends.domain.field
-    basis_mat = np.stack([b.as_vector() for b in ends.basis]).astype(np.int64)
-    ident = identity_morphism(ends.domain)
-    coeffs = exactla.solve_raw(f, basis_mat.T, ident.as_vector())
-    assert coeffs is not None
-    return coeffs
-
-
-def _frobenius_fixed(fp: FieldSpec, rad_red, free, e, mul_vec):
-    """Dimension and basis of the p-power fixed space of S = End/rad."""
-    p = fp.char
-    red = rad_red
-    piv = []
-    if red.shape[0]:
-        red, piv = exactla.rref(fp, red)
-    pivmap = {c: i for i, c in enumerate(piv)}
-
-    def to_quotient(vec):
-        v = vec.copy() % p
-        for c, i in pivmap.items():
-            if v[c]:
-                v = (v - v[c] * red[i]) % p
-        return v[free]
-
-    def lift(qvec):
-        v = np.zeros(e, dtype=np.int64)
-        for val, c in zip(qvec, free):
-            v[c] = val
-        return v
-
-    # Frobenius on the quotient, as a matrix over GF(p)
-    cols = []
-    for c in free:
-        base = np.zeros(e, dtype=np.int64)
-        base[c] = 1
-        powered = _vec_power(mul_vec, base, p, e)
-        cols.append(to_quotient(powered))
-    frob = np.stack(cols, axis=1) % p
-    fixed = exactla.kernel(fp, (frob - np.eye(len(free), dtype=np.int64)) % p)
-    return fixed.shape[0], [lift(fixed[i]) for i in range(fixed.shape[0])]
 
 
 def _morph_eq(a: Morphism, b: Morphism) -> bool:

@@ -13,6 +13,7 @@ from random import Random
 import numpy as np
 
 from . import exactla
+from .exactla import EXHAUSTIVE_CAP, CertificateError
 from .gorenstein import certify_gp
 from .rep import (
     Morphism,
@@ -28,7 +29,6 @@ from .rep import (
     zero_morphism,
 )
 
-EXHAUSTIVE_CAP = 4096
 RANDOM_TRIES = 64
 
 
@@ -82,11 +82,12 @@ class StableHomSpace:
 
     def _hom_coords(self, morphism: Morphism):
         vec = morphism.as_vector()
-        if self.hom.dim == 0:
-            assert not vec.size or not np.any(vec != 0)
-            return self.field.zeros((0,))
-        coeffs = self._coord_solver.solve(vec)
-        assert coeffs is not None, "morphism escapes the hom space"
+        if self.hom.dim:
+            coeffs = self._coord_solver.solve(vec)
+        else:
+            coeffs = None if np.any(vec != 0) else self.field.zeros((0,))
+        if coeffs is None:
+            raise ValueError("morphism escapes the hom space")
         return coeffs
 
     def residue(self, morphism: Morphism):
@@ -189,9 +190,7 @@ def _solve_stable_inverse(f_mor: Morphism, end_m: StableHomSpace, end_n: StableH
     field = m.field
     if back.hom.dim == 0:
         g = zero_morphism(n, m)
-        lhs_ok = end_m.is_stably_zero(g.compose(f_mor).sub(identity_morphism(m)))
-        rhs_ok = end_n.is_stably_zero(f_mor.compose(g).sub(identity_morphism(n)))
-        return g if lhs_ok and rhs_ok else None
+        return g if _stably_inverse(f_mor, g, end_m, end_n) else None
     cols = []
     for b in back.hom.basis:
         left = end_m.quotient_coords(b.compose(f_mor))
@@ -215,9 +214,17 @@ def _solve_stable_inverse(f_mor: Morphism, end_m: StableHomSpace, end_n: StableH
         g = term if g is None else g.add(term)
     if g is None:
         g = zero_morphism(n, m)
-    assert end_m.is_stably_zero(g.compose(f_mor).sub(identity_morphism(m)))
-    assert end_n.is_stably_zero(f_mor.compose(g).sub(identity_morphism(n)))
+    if not _stably_inverse(f_mor, g, end_m, end_n):
+        raise CertificateError("solved stable inverse is not inverse")
     return g
+
+
+def _stably_inverse(f_mor: Morphism, g_mor: Morphism, end_m: StableHomSpace, end_n: StableHomSpace):
+    """g.f = id_m and f.g = id_n modulo maps through projectives."""
+    m, n = f_mor.domain, f_mor.codomain
+    left = g_mor.compose(f_mor).sub(identity_morphism(m))
+    right = f_mor.compose(g_mor).sub(identity_morphism(n))
+    return end_m.is_stably_zero(left) and end_n.is_stably_zero(right)
 
 
 def _witness_search(m: Representation, n: Representation, seed: int):
@@ -279,7 +286,8 @@ def _witness_from_pairing(m: Representation, n: Representation, pairing):
     )
     ok_m, iso_m = is_isomorphic(msum, m)
     ok_n, iso_n = is_isomorphic(nsum, n)
-    assert ok_m and ok_n
+    if not (ok_m and ok_n):
+        raise CertificateError("a module is not isomorphic to the sum of its summands")
 
     # positions of each summand class inside the flattened sum
     def slots(parts):
@@ -338,70 +346,32 @@ def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
             )
         # sampled search missed; construct the witness deterministically
         f_mor, g_mor = _witness_from_pairing(m, n, pairing)
-        end_m = _space_cache(m, m)
-        end_n = _space_cache(n, n)
-        assert end_m.is_stably_zero(
-            g_mor.compose(f_mor).sub(identity_morphism(m))
-        )
-        assert end_n.is_stably_zero(
-            f_mor.compose(g_mor).sub(identity_morphism(n))
-        )
+        if not _stably_inverse(f_mor, g_mor, _space_cache(m, m), _space_cache(n, n)):
+            raise CertificateError("witness built from matched summands is not inverse")
         return True, (f_mor, g_mor)
     return False, None
 
 
-class StableEndAlgebra:
-    """The stable endomorphism algebra of a module, on canonical coset basis."""
+class StableEndAlgebra(exactla.StructureAlgebra):
+    """The stable endomorphism algebra of a module, on canonical coset basis.
+
+    The structure constants are the stable classes of the composites of
+    coset representatives; the unit and associativity are certified.
+    """
 
     def __init__(self, g: Representation):
         _require_gp(g)
         self.module = g
-        self.field = g.field
         self.space = _space_cache(g, g)
-        self.dim = self.space.dim
         self.basis = self.space.coset_basis()
-        f = self.field
-        self.structure = f.zeros((self.dim, self.dim, self.dim))
+        f = g.field
+        dim = self.space.dim
+        structure = f.zeros((dim, dim, dim))
         for i, bi in enumerate(self.basis):
             for j, bj in enumerate(self.basis):
-                self.structure[i][j] = self.space.quotient_coords(bi.compose(bj))
-        if self.dim:
-            self.unit = self.space.quotient_coords(identity_morphism(g))
-        else:
-            self.unit = f.zeros((0,))
-        self._check_unit_and_associativity()
-
-    def mult_vec(self, x, y):
-        f = self.field
-        out = f.zeros((self.dim,))
-        for i in range(self.dim):
-            if x[i] == 0:
-                continue
-            for j in range(self.dim):
-                if y[j] == 0:
-                    continue
-                out = f.add(out, f.scale(f.canon(x[i] * y[j]), self.structure[i][j]))
-        return out
-
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if np.any(self.structure[i][j] != self.structure[j][i]):
-                    return False
-        return True
-
-    def _check_unit_and_associativity(self):
-        f = self.field
-        eye = f.eye(self.dim)
-        for i in range(self.dim):
-            assert (self.mult_vec(self.unit, eye[i]) == eye[i]).all()
-            assert (self.mult_vec(eye[i], self.unit) == eye[i]).all()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mult_vec(self.mult_vec(eye[i], eye[j]), eye[k])
-                    rhs = self.mult_vec(eye[i], self.mult_vec(eye[j], eye[k]))
-                    assert (lhs == rhs).all(), "stable composition not associative"
+                structure[i][j] = self.space.quotient_coords(bi.compose(bj))
+        super().__init__(f, structure, self.space.quotient_coords(identity_morphism(g)))
+        self.certify()
 
 
 def stable_end_algebra(g: Representation) -> StableEndAlgebra:

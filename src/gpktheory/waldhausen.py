@@ -21,7 +21,7 @@ from random import Random
 import numpy as np
 
 from . import exactla
-from .exactla import AbelianGroupDescription, group_from_presentation
+from .exactla import EXHAUSTIVE_CAP, AbelianGroupDescription, group_from_presentation
 from .gorenstein import GPCatalog, certify_gp
 from .ktheory import CatalogUnknown
 from .rep import (
@@ -45,7 +45,6 @@ from .stable import _solve_stable_inverse, _space_cache
 
 ITEM_MULT_CAP = 4
 DIM_FACTOR = 8
-MONO_ENUM_CAP = 4096
 
 
 @dataclass
@@ -215,7 +214,7 @@ def build_wdata(catalog: GPCatalog, depth: int = 2) -> FiniteWaldhausenData:
                 for i, xm in enumerate(x.all_mults)
                 for j, ym in enumerate(y.all_mults)
             )
-            if f.char**h <= MONO_ENUM_CAP:
+            if f.char**h <= EXHAUSTIVE_CAP:
                 _exhaustive_cofibrations(data, x, y, h)
             else:
                 _split_cofibration(data, x, y)
@@ -223,7 +222,7 @@ def build_wdata(catalog: GPCatalog, depth: int = 2) -> FiniteWaldhausenData:
     if skipped_pairs:
         notes.append(
             f"{skipped_pairs} object pairs exceeded the exhaustive mono bound "
-            f"({MONO_ENUM_CAP}); only the split inclusion contributed there"
+            f"({EXHAUSTIVE_CAP}); only the split inclusion contributed there"
         )
     return data
 

@@ -103,37 +103,20 @@ def _ref_decompose_rec(m, seed):
         img, _ = rep.image_subrep(e)
         ker, _ = rep.kernel_subrep(e)
         return _ref_decompose_rec(img, seed + 1) + _ref_decompose_rec(ker, seed + 1)
-    table, rad_rows, e, mul_vec = rep._endo_radical_and_quotient(ends)
-    p = f.char
-    fp = FieldSpec(p)
-    red, piv = exactla.rref(fp, rad_rows) if rad_rows.shape[0] else (rad_rows, [])
-    free = [c for c in range(e) if c not in set(piv)]
-    if len(free) <= 1:
+    # radical branch through the shared algebra type: S = End(m) / rad
+    end = rep._end_algebra(ends)
+    s = end.quotient(end.radical())
+    if s.dim <= 1:
         return [m]
-
-    def in_rad(vec):
-        if not red.shape[0]:
-            return not vec.any()
-        stacked = np.concatenate([red, vec.reshape(1, -1)], axis=0)
-        return exactla.rank_of(fp, stacked) == red.shape[0]
-
-    commutative = True
-    for i in free:
-        for j in free:
-            ei = np.zeros(e, dtype=np.int64)
-            ei[i] = 1
-            ej = np.zeros(e, dtype=np.int64)
-            ej[j] = 1
-            if not in_rad((mul_vec(ei, ej) - mul_vec(ej, ei)) % p):
-                commutative = False
-    if commutative:
-        fixed_dim, frob_fixed = rep._frobenius_fixed(fp, red, free, e, mul_vec)
-        if fixed_dim <= 1:
+    if s.is_commutative():
+        fixed = exactla.kernel(f, f.sub(s.frobenius(), f.eye(s.dim)))
+        if fixed.shape[0] <= 1:
             return [m]
-        one_coeffs = rep._identity_coords(ends)
-        for vec in frob_fixed:
-            for lam in range(p):
-                g = ends.element((vec - lam * one_coeffs) % p)
+        for vec in fixed:
+            lifted = np.zeros(ends.dim, dtype=np.int64)
+            lifted[s.basis_cols] = vec
+            for lam in range(f.char):
+                g = ends.element((lifted - lam * end.unit) % f.char)
                 if g.is_zero:
                     continue
                 split = _ref_fitting_split(m, g)

@@ -132,7 +132,7 @@ def test_stable_end_unit_is_idempotent():
     g = cyclic_module(a, a.element_from_str("b*a"))[0]
     lam = stable_end_algebra(g)
     u = lam.unit
-    assert (lam.mult_vec(u, u) == u).all()
+    assert (lam.mult(u, u) == u).all()
 
 
 def test_random_pairs_agree_with_stripping():
