@@ -19,7 +19,8 @@ say `regular` (the algebra over itself) or give explicit components:
 
 Commands emit a human-readable report by default and a schema-stable JSON
 object with --json; the exit code is 0 on success, 2 when a verdict is
-Unknown, and 1 on errors.
+Unknown, and 1 on errors: bad input, or an internal error reported as
+one "error: internal <Type>: <message>" line.
 """
 
 from __future__ import annotations
@@ -691,6 +692,11 @@ def main(argv=None) -> int:
         out, lines, code = args.fn(args)
     except (CliError, ValueError, FieldUnsupported) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:
+        # a fault of the package, not of the input: one line, no traceback
+        message = str(e).replace("\n", " ")
+        print(f"error: internal {type(e).__name__}: {message}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))

@@ -83,10 +83,10 @@ def dimension_report(a: FiniteDimAlgebra, bound: int = DEFAULT_BOUND) -> Dimensi
     """Projective dimensions of simples, global and self-injective dimensions."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    key = ("dimension_report", bound)
-    cached = a._caches.get(key)
-    if cached is not None:
-        return cached
+    return a.memo("dimension_report", bound, lambda: _dimension_report(a, bound))
+
+
+def _dimension_report(a: FiniteDimAlgebra, bound: int) -> DimensionReport:
     proj_dims = {}
     for v in a.quiver.vertices:
         proj_dims[v] = _dim_or_at_least(
@@ -108,7 +108,7 @@ def dimension_report(a: FiniteDimAlgebra, bound: int = DEFAULT_BOUND) -> Dimensi
         status, gdim = "yes", left
     else:
         status, gdim = "no_within_bound", None
-    report = DimensionReport(
+    return DimensionReport(
         algebra=a,
         bound=bound,
         proj_dims=proj_dims,
@@ -118,8 +118,6 @@ def dimension_report(a: FiniteDimAlgebra, bound: int = DEFAULT_BOUND) -> Dimensi
         gorenstein_status=status,
         gorenstein_dim=gdim,
     )
-    a._caches[key] = report
-    return report
 
 
 @dataclass
@@ -175,13 +173,7 @@ def is_gp(m: Representation, report: DimensionReport = None, bound: int = DEFAUL
 
 def certify_gp(m: Representation, bound: int = DEFAULT_BOUND) -> GPVerdict:
     """Cached Gorenstein-projectivity verdict (keyed by the module's data)."""
-    cache = m.algebra._caches.setdefault("gp_certificates", {})
-    key = m.key()
-    verdict = cache.get(key)
-    if verdict is None:
-        verdict = is_gp(m, bound=bound)
-        cache[key] = verdict
-    return verdict
+    return m.algebra.memo("gp_certificates", m.key(), lambda: is_gp(m, bound=bound))
 
 
 def co_syzygy(m: Representation) -> Representation:

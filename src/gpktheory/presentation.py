@@ -22,6 +22,9 @@ class InvalidRelation(ValueError):
     """A relation term is malformed, non-parallel, or outside rad^2."""
 
 
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class Arrow:
     label: str
@@ -226,6 +229,19 @@ class FiniteDimAlgebra:
         for lab in p.arrows:
             x = self.mult_sparse({self.arrow_index[lab]: self.field.canon(1)}, x)
         return x
+
+    def memo(self, site: str, key, build):
+        """The value stored for key at site in this algebra; build() on a miss.
+
+        Only for results that are a deterministic function of key (module
+        bytes, seeds, bounds) within this algebra: a hit returns the stored
+        object itself, so callers must not mutate it.
+        """
+        cache = self._caches.setdefault(site, {})
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = build()
+        return value
 
     def describe(self) -> str:
         return (

@@ -150,7 +150,8 @@ class Morphism:
         blocks = {}
         for v in self.blocks:
             inv = exactla.invert(f, self.blocks[v])
-            assert inv is not None, "inverse of a non-invertible morphism"
+            if inv is None:
+                raise ValueError("inverse of a non-invertible morphism")
             blocks[v] = inv
         return Morphism(self.codomain, self.domain, blocks)
 
@@ -195,12 +196,13 @@ class Morphism:
         )
 
     def verify(self):
-        """Assert the commuting squares (used after hand assembly)."""
+        """Check the commuting squares (used after hand assembly)."""
         f = self.domain.field
         for a in self.domain.algebra.quiver.arrows:
             lhs = f.matmul(self.blocks[a.target], self.domain.maps[a.label])
             rhs = f.matmul(self.codomain.maps[a.label], self.blocks[a.source])
-            assert _eq(f, lhs, rhs), f"square at arrow {a.label} does not commute"
+            if not _eq(f, lhs, rhs):
+                raise CertificateError(f"square at arrow {a.label} does not commute")
         return self
 
 
@@ -264,7 +266,8 @@ def projective(a: FiniteDimAlgebra, v: str) -> Representation:
             for col, i in enumerate(by_vertex[u]):
                 for k, c in a.mult_basis(ai, i):
                     kw, kr = pos[k]
-                    assert kw == w
+                    if kw != w:
+                        raise CertificateError(f"arrow {arw.label} leaves P({v}) at {kw}")
                     mat[kr, col] = f.canon(mat[kr, col] + c)
         maps[arw.label] = mat
     rep = Representation(a, dims, maps, check=False)
@@ -535,7 +538,8 @@ def projective_cover(m: Representation):
             vec[c] = f.canon(1)
             lifts.append((v, vec))
     if not summands:
-        assert m.is_zero, "nonzero module with empty top"
+        if not m.is_zero:
+            raise CertificateError("nonzero module with empty top")
         p = zero_rep(a)
         return p, zero_morphism(p, m)
     projs = [projective(a, v) for v in summands]
@@ -551,7 +555,8 @@ def projective_cover(m: Representation):
         for w in a.quiver.vertices:
             off[w] += pr.dims[w]
     epi = Morphism(p, m, blocks).verify()
-    assert epi.is_epi(), "cover map is not onto"
+    if not epi.is_epi():
+        raise CertificateError("cover map is not onto")
     return p, epi
 
 
@@ -565,16 +570,13 @@ def syzygy(m: Representation, n: int = 1) -> Representation:
 
 def _syzygy_once(m: Representation):
     """(syzygy, inclusion into cover, cover, epi), cached per algebra."""
-    cache = m.algebra._caches.setdefault("cover", {})
-    key = m.key()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    p, epi = projective_cover(m)
-    ker, incl = kernel_subrep(epi)
-    out = (ker, incl, p, epi)
-    cache[key] = out
-    return out
+
+    def build():
+        p, epi = projective_cover(m)
+        ker, incl = kernel_subrep(epi)
+        return ker, incl, p, epi
+
+    return m.algebra.memo("cover", m.key(), build)
 
 
 def is_projective(m: Representation) -> bool:
@@ -648,7 +650,8 @@ def ext_data(m: Representation, n: Representation, degree: int):
     for g in gs.basis:
         comp = g.compose(incl)
         coeffs = exactla.solve_raw(f, basis_mat.T, comp.as_vector())
-        assert coeffs is not None, "restricted map escapes the hom space"
+        if coeffs is None:
+            raise CertificateError("restricted map escapes the hom space")
         img_rows.append(coeffs)
     img = (
         np.stack(img_rows)
@@ -680,7 +683,8 @@ def ext1_class_reps(m: Representation, n: Representation):
         if len(reps) == dim:
             break
     # the free coordinates complement the image, so these classes are a basis
-    assert len(reps) == dim
+    if len(reps) != dim:
+        raise CertificateError("ext classes do not complement the factoring maps")
     return reps, (omega, incl, p0, epi)
 
 
@@ -706,13 +710,15 @@ def middle_term(m: Representation, n: Representation, cls: Morphism, enclosing):
     glue = injs[0].compose(incl).add(injs[1].compose(neg))
     e, proj = cokernel(glue)
     include_n = proj.compose(injs[1])
-    assert include_n.is_mono(), "extension does not embed the kernel term"
+    if not include_n.is_mono():
+        raise CertificateError("extension does not embed the kernel term")
     # map to m: descend (epi, 0) through the pushout quotient
     lift_blocks = {}
     for v in m.algebra.quiver.vertices:
         # proj blocks have full row rank; solve a right inverse to lift e -> total
         sol = exactla.solve_matrix(f, proj.blocks[v], f.eye(e.dims[v]))
-        assert sol is not None
+        if sol is None:
+            raise CertificateError("pushout projection has no right inverse")
         lift_blocks[v] = sol
     onto_m_blocks = {}
     for v in m.algebra.quiver.vertices:
@@ -720,10 +726,12 @@ def middle_term(m: Representation, n: Representation, cls: Morphism, enclosing):
             epi.blocks[v], f.matmul(prjs[0].blocks[v], lift_blocks[v])
         )
     onto_m = Morphism(e, m, onto_m_blocks).verify()
-    assert onto_m.is_epi(), "extension does not map onto the quotient term"
-    assert e.total_dim == m.total_dim + n.total_dim
-    comp = onto_m.compose(include_n)
-    assert comp.is_zero, "composite through the extension is nonzero"
+    if not onto_m.is_epi():
+        raise CertificateError("extension does not map onto the quotient term")
+    if e.total_dim != m.total_dim + n.total_dim:
+        raise CertificateError("extension dimension is not the sum of its ends")
+    if not onto_m.compose(include_n).is_zero:
+        raise CertificateError("composite through the extension is nonzero")
     return e, include_n, onto_m
 
 
@@ -775,10 +783,11 @@ def star(m: Representation) -> Representation:
             comp = rho.compose(fb)
             if dims[u]:
                 coeffs = exactla.solve_raw(f, basis_mats[u].T, comp.as_vector())
-                assert coeffs is not None
+                if coeffs is None:
+                    raise CertificateError("restricted map escapes Hom(m, P)")
                 mat[:, col] = coeffs
-            else:
-                assert comp.is_zero
+            elif not comp.is_zero:
+                raise CertificateError("restricted map into a zero Hom(m, P) is nonzero")
         maps[arw.label] = mat
     return Representation(op, dims, maps, check=True)
 
@@ -838,12 +847,25 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: in
 
     Positive answers are certified by the witness.  Negative answers are
     certified when the candidate space is exhausted or an additive
-    invariant separates the modules.
+    invariant separates the modules.  The search is memoized per algebra
+    on the modules' bytes, the seed and the tries; the witness is always
+    returned as a map from this m to this n.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
     if m.is_zero:
         return True, zero_morphism(m, n)
+
+    def search():
+        ok, witness = _find_isomorphism(m, n, seed, tries)
+        return ok, (witness.blocks if ok else None)
+
+    ok, blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key(), seed, tries), search)
+    return ok, (Morphism(m, n, dict(blocks)) if ok else None)
+
+
+def _find_isomorphism(m: Representation, n: Representation, seed: int, tries: int):
+    """The uncached search of `is_isomorphic` for nonzero m, n of one dim vector."""
     hs = hom_basis(m, n)
     if hs.dim == 0:
         return False, None
@@ -934,9 +956,10 @@ def decompose(m: Representation, seed: int = 0):
 
     Summands are split off by Fitting's lemma: m = ker(g^N) + im(g^N) for
     shifts g - lam of sampled endomorphisms g.  Over finite fields the
-    shifts that cannot split m (invertible at every vertex) are screened
-    out first by one stacked rank test per vertex, and an invertible or
-    nilpotent shift is rejected by ranks alone.  Failure to split is then
+    shifts that cannot split m are screened out first: one stacked rank
+    test per vertex finds the singular shifts, and one stacked rank test
+    of their powers rejects the nilpotent ones, so `_fitting_split` runs
+    only on shifts that split.  Failure to split is then
     certified through the endomorphism ring A = End(m), a
     `StructureAlgebra` on the coordinates of the hom basis: a batched
     exhaustive search for a nontrivial idempotent when A is small, and
@@ -945,7 +968,9 @@ def decompose(m: Representation, seed: int = 0):
     Frobenius fixed space has dimensions, and a fixed vector outside the
     scalars gives a split; a noncommutative S means m is decomposable.
     Over QQ only opportunistic splitting is available and FieldUnsupported
-    is raised when certification would be required.
+    is raised when certification would be required.  Pieces are memoized
+    per algebra (`_decompose_rec`), so a summand met again is not split
+    again.
     """
     if m.is_zero:
         return []
@@ -965,8 +990,16 @@ def decompose(m: Representation, seed: int = 0):
 
 
 def _decompose_rec(m: Representation, seed: int):
+    """Indecomposable pieces of m, in split order, memoized per algebra on
+    the module's bytes and the seed.  Returns a fresh list on every call."""
     if m.is_zero:
         return []
+    return list(m.algebra.memo("decompose", (m.key(), seed),
+                               lambda: tuple(_split_pieces(m, seed))))
+
+
+def _split_pieces(m: Representation, seed: int):
+    """The uncached split of `_decompose_rec` for nonzero m."""
     if m.total_dim == 1:
         return [m]
     f = m.field
@@ -1068,18 +1101,51 @@ def _shift_singular_mask(m: Representation, cands, lambdas) -> np.ndarray:
     return mask.reshape(len(cands), lam.size)
 
 
+def _shift_fitting_kernels(m: Representation, cands, lambdas) -> np.ndarray:
+    """kernels[i, j] = dim ker (cands[i] - lambdas[j] * 1)^N for large N.
+
+    Over GF(p) only.  Shifts invertible at every vertex (`_shift_singular_mask`)
+    have kernel 0.  Each singular shift is raised, at each vertex v, to a
+    power 2^k >= d_v by batched squaring, where the rank of the powers of a
+    d_v x d_v matrix has settled; one stacked row reduction per vertex then
+    ranks the powers.  Chunks keep each temporary under _STACK_BYTES.
+    """
+    p = m.field.char
+    lam = np.asarray(lambdas, dtype=np.int64)
+    singular = np.flatnonzero(_shift_singular_mask(m, cands, lambdas))
+    kernels = np.zeros(len(cands) * lam.size, dtype=np.int64)
+    for v in m.algebra.quiver.vertices:
+        d = m.dims[v]
+        if d == 0 or singular.size == 0:
+            continue
+        blocks = np.stack([g.blocks[v] for g in cands])
+        eye = np.eye(d, dtype=np.int64)
+        chunk = max(1, _STACK_BYTES // (8 * d * d))
+        for start in range(0, singular.size, chunk):
+            k = singular[start : start + chunk]
+            powers = blocks[k // lam.size] - lam[k % lam.size, None, None] * eye
+            for _ in range((d - 1).bit_length()):
+                powers = (powers @ powers) % p
+            _, ranks = exactla.rref_stack_fp(powers, p)
+            kernels[k] += d - ranks
+    return kernels.reshape(len(cands), lam.size)
+
+
 def _first_fitting_split(m: Representation, cands, lambdas):
     """First Fitting split of m by a shift g - lam, candidates outermost.
 
-    Over GF(p) a shift that is invertible at every vertex cannot split m,
-    so the stacked singularity mask skips it without changing which split
+    Over GF(p) a shift splits m exactly when the kernel of its high powers
+    is neither 0 (invertible) nor all of m (nilpotent); the stacked
+    kernel ranks skip every other shift without changing which split
     comes first.
     """
     f = m.field
-    mask = _shift_singular_mask(m, cands, lambdas) if f.char else None
+    if f.char:
+        kernels = _shift_fitting_kernels(m, cands, lambdas)
+        splits = (kernels > 0) & (kernels < m.total_dim)
     ident = identity_morphism(m)
     for i, g in enumerate(cands):
-        for j in np.flatnonzero(mask[i]) if f.char else range(len(lambdas)):
+        for j in np.flatnonzero(splits[i]) if f.char else range(len(lambdas)):
             split = _fitting_split(m, g.add(ident.scale(f.canon(-lambdas[j]))))
             if split is not None:
                 return split

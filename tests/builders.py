@@ -107,6 +107,17 @@ def twisted(m, rng):
     return Representation(m.algebra, dict(m.dims), maps)
 
 
+def seeded_sums(a, rng):
+    """Two direct sums of catalog items and projectives, one of them twisted."""
+    from gpktheory.gorenstein import gp_catalog
+    from gpktheory.rep import direct_sum, projective
+
+    pool = list(gp_catalog(a).items) + [projective(a, v) for v in a.quiver.vertices]
+    two = direct_sum([rng.choice(pool) for _ in range(2)])[0]
+    three = direct_sum([rng.choice(pool) for _ in range(3)])[0]
+    return [twisted(two, rng), three]
+
+
 # shared expensive builds, memoized for the whole pytest run ----------------
 
 _WDATA_CACHE = {}

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +314,34 @@ def test_field_above_exact_range_exits_one():
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "65521" in err
+
+
+@pytest.mark.parametrize(
+    "power,kind",
+    [(4, "RuntimeError"), (3, "NoncommutativeStableEnd")],
+    ids=["catalog-closure", "noncommutative-stable-end"],
+)
+def test_internal_error_exits_one_with_one_line(power, kind):
+    """k[x]/(x^4) breaks the catalog closure and k[x]/(x^3) has a
+    noncommutative stable End over GF(3): both are faults of the package,
+    reported as one line with exit 1 and no traceback."""
+    path = tmp_file(
+        "algebra kx over GF(3)\nvertices 1\narrow x : 1 -> 1\n"
+        f"relation {'*'.join(['x'] * power)} = 0\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpktheory.cli", "analyze", path, "--json"],
+        env=env, capture_output=True, text=True,
+    )
+    os.unlink(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: internal {kind}: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_json_output_is_byte_reproducible():

@@ -26,6 +26,7 @@ from builders import (
     alg62b,
     loop_square_zero,
     nakayama,
+    seeded_sums,
     twisted,
 )
 
@@ -141,14 +142,6 @@ def _ref_decompose_rec(m, seed):
 # inputs
 
 
-def _seeded_sums(a, rng):
-    """Two direct sums of catalog items and projectives, one of them twisted."""
-    pool = list(gp_catalog(a).items) + [projective(a, v) for v in a.quiver.vertices]
-    two = direct_sum([rng.choice(pool) for _ in range(2)])[0]
-    three = direct_sum([rng.choice(pool) for _ in range(3)])[0]
-    return [twisted(two, rng), three]
-
-
 def _twisted_sum_gf3():
     a = alg61a(FieldSpec(3))
     return Representation(
@@ -165,7 +158,7 @@ def _keys(pieces):
 def test_decompose_rec_matches_reference(name, p):
     a = ALGEBRAS[name](FieldSpec(p))
     rng = Random(f"{name}/{p}")
-    for seed, m in enumerate(_seeded_sums(a, rng)):
+    for seed, m in enumerate(seeded_sums(a, rng)):
         assert _keys(rep._decompose_rec(m, seed)) == _keys(_ref_decompose_rec(m, seed))
 
 
@@ -185,7 +178,7 @@ def test_singular_mask_matches_rank_of(monkeypatch, stack_bytes):
     modules = [_twisted_sum_gf3()]
     for p in (2, 5, 7):
         a = alg61b(FieldSpec(p))
-        modules += _seeded_sums(a, rng)
+        modules += seeded_sums(a, rng)
         # shifts singular at one vertex only
         modules.append(twisted(direct_sum([simple(a, "1"), simple(a, "2")])[0], rng))
         modules.append(direct_sum([projective(a, "2"), simple(a, "1")])[0])
@@ -207,7 +200,7 @@ def test_singular_mask_matches_rank_of(monkeypatch, stack_bytes):
 def test_fitting_rank_reject_matches_kernel_test():
     rng = Random(4)
     for p in (3, 5):
-        for m in _seeded_sums(alg62b(FieldSpec(p)), rng):
+        for m in seeded_sums(alg62b(FieldSpec(p)), rng):
             ident = identity_morphism(m)
             for g in _cands(m):
                 for lam in range(p):
@@ -242,3 +235,54 @@ def test_batched_idempotent_matches_scalar_loop(monkeypatch, stack_bytes, label,
     found = rep._first_idempotent(ends)
     assert found == _ref_first_idempotent(ends)
     assert (found is not None) == splits
+
+
+
+def _ref_singular_shift_split(m, cands, lambdas):
+    """The per-shift loop the kernel screen replaces: `_fitting_split` on
+    every shift the singularity mask keeps."""
+    f = m.field
+    mask = rep._shift_singular_mask(m, cands, lambdas)
+    ident = identity_morphism(m)
+    for i, g in enumerate(cands):
+        for j in np.flatnonzero(mask[i]):
+            split = rep._fitting_split(m, g.add(ident.scale(f.canon(-lambdas[j]))))
+            if split is not None:
+                return split
+    return None
+
+
+@pytest.mark.parametrize("stack_bytes", [rep._STACK_BYTES, 64])
+@pytest.mark.parametrize("p", PRIMES)
+def test_kernel_screen_matches_per_shift_loop(monkeypatch, stack_bytes, p):
+    """Stacked Fitting kernels equal the kernels of each powered shift, a
+    shift passes the screen exactly when `_fitting_split` splits with it,
+    and the first split is the one the per-shift loop finds."""
+    monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
+    rng = Random(f"screen/{p}")
+    modules = []
+    for make in (alg61b, alg62a, loop_square_zero):
+        a = make(FieldSpec(p))
+        modules += seeded_sums(a, rng)
+        # local End(m): every singular shift is nilpotent
+        modules += list(gp_catalog(a).items[:1]) + [projective(a, "1")]
+    for m in modules:
+        f = m.field
+        cands = _cands(m)
+        lambdas = list(f.elements())
+        kernels = rep._shift_fitting_kernels(m, cands, lambdas)
+        ident = identity_morphism(m)
+        for i, g in enumerate(cands):
+            for j, lam in enumerate(lambdas):
+                shifted = g.add(ident.scale(f.canon(-lam)))
+                ker = sum(
+                    d - exactla.rank_of(f, rep._power(f, shifted.blocks[v], m.total_dim))
+                    for v, d in m.dims.items()
+                )
+                assert kernels[i, j] == ker
+                assert (0 < ker < m.total_dim) == (rep._fitting_split(m, shifted) is not None)
+        fast = rep._first_fitting_split(m, cands, lambdas)
+        ref = _ref_singular_shift_split(m, cands, lambdas)
+        assert (fast is None) == (ref is None)
+        if fast is not None:
+            assert _keys(fast) == _keys(ref)

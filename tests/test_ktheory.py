@@ -503,13 +503,18 @@ def test_frobenius_needs_a_finite_field():
 
 
 def test_ktheory_tests_pass_under_python_O():
-    """The certificates of ktheory, stable and the shared algebra raise
-    rather than assert, so their tests also pass with asserts stripped."""
+    """The certificates of ktheory, stable, rep and the shared algebra
+    raise rather than assert, so their tests also pass with asserts
+    stripped."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     here = Path(__file__).parent
-    files = [str(here / name) for name in ("test_ktheory.py", "test_stable.py", "test_radical.py")]
+    files = [
+        str(here / name)
+        for name in ("test_ktheory.py", "test_stable.py", "test_radical.py", "test_rep.py",
+                     "test_decompose_fast.py")
+    ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *files, "-k", "not python_O"],

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from gpktheory import rep
-from gpktheory.exactla import FieldSpec
+from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.presentation import opposite
 from gpktheory.rep import (
     FieldUnsupported,
     cyclic_module,
+    Morphism,
     decompose,
     direct_sum,
     dual_rep,
     ext,
+    ext1_class_reps,
     hom_basis,
     hom_dim,
     is_isomorphic,
     is_projective,
+    middle_term,
     projective,
     projective_cover,
     projective_dimension,
@@ -283,3 +286,57 @@ def test_zero_module_edges():
     assert hom_dim(z, projective(a, "1")) == 0
     assert is_projective(z)
     assert decompose(z) == []
+
+
+# ---------------------------------------------------------------------------
+# checks raise, also under python -O
+
+
+def test_inverse_of_a_singular_morphism_raises_value_error():
+    a = alg61a(GF3)
+    p1 = projective(a, "1")
+    with pytest.raises(ValueError):
+        rep.zero_morphism(p1, p1).inverse()
+
+
+def test_non_commuting_blocks_fail_verify():
+    a = alg61a(GF3)
+    p1 = projective(a, "1")
+    blocks = {v: GF3.zeros((p1.dims[v], p1.dims[v])) for v in a.quiver.vertices}
+    blocks["1"] = GF3.eye(p1.dims["1"])  # identity at 1 only: squares break
+    with pytest.raises(CertificateError):
+        Morphism(p1, p1, blocks).verify()
+
+
+def test_cover_certificate_raises(monkeypatch):
+    a = alg61a(GF3)
+    monkeypatch.setattr(Morphism, "is_epi", lambda self: False)
+    with pytest.raises(CertificateError):
+        projective_cover(simple(a, "1"))
+
+
+def test_restricted_map_certificate_raises(monkeypatch):
+    a = alg61b(GF3)
+    m = simple(a, "2")
+    monkeypatch.setattr(rep.exactla, "solve_raw", lambda *args: None)
+    with pytest.raises(CertificateError):
+        rep.ext_data(m, regular(a), 1)
+    with pytest.raises(CertificateError):
+        star(m)
+
+
+def test_extension_certificates_raise(monkeypatch):
+    a = alg61a(GF3)
+    s1, s2 = simple(a, "1"), simple(a, "2")
+    classes, enclosing = ext1_class_reps(s1, s2)
+    assert classes
+    middle, _, _ = middle_term(s1, s2, classes[0], enclosing)
+    assert middle.total_dim == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(Morphism, "is_mono", lambda self: False)
+        with pytest.raises(CertificateError):
+            middle_term(s1, s2, classes[0], enclosing)
+    with monkeypatch.context() as mp:
+        mp.setattr(Morphism, "is_epi", lambda self: False)
+        with pytest.raises(CertificateError):
+            middle_term(s1, s2, classes[0], enclosing)
