@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 
@@ -37,6 +38,54 @@ MAX_PRIME = 65521
 # a search over the p**n coefficient vectors of GF(p)^n is exhaustive when
 # p**n is at most this, and sampled otherwise
 EXHAUSTIVE_CAP = 4096
+
+
+def is_exhaustive(f: FieldSpec, n: int) -> bool:
+    """Whether a search over f^n tests every vector: f is GF(p) and
+    p**n <= EXHAUSTIVE_CAP.  The one cap test of every coefficient search."""
+    return bool(f.char) and f.char**n <= EXHAUSTIVE_CAP
+
+
+def coeff_vectors(f: FieldSpec, n: int, *, lines=True, seed=0, tries=0):
+    """(vectors, exhaustive): the coefficient vectors a search over f^n tests.
+
+    Exhaustive (`is_exhaustive`): an int64 array with every vector of
+    GF(p)^n as a row, in increasing base-p order (entry i is digit i).
+    With `lines`, only the first vector of each line, the one whose last
+    nonzero entry is 1, so a search for a property that nonzero scalars
+    preserve finds the same first hit as among all vectors.  For n = 0 that
+    is the zero vector, and no lines.
+
+    Otherwise sampled: `sampled_coeff_vectors(f, n, seed, tries)`.
+    """
+    if not is_exhaustive(f, n):
+        return sampled_coeff_vectors(f, n, seed, tries), False
+    p = f.char
+    # row x holds the base-p digits of x, least significant first
+    every = np.indices((p,) * n, dtype=np.int64).reshape(n, p**n)[::-1].T
+    if not lines:
+        return every, True
+    # last nonzero entry 1 at position k: the rows p**k .. 2 * p**k - 1 (none
+    # when n = 0)
+    starts = p ** np.arange(n, dtype=np.int64)
+    return every[np.concatenate([np.arange(s, 2 * s) for s in starts] or [starts])], True
+
+
+def sampled_coeff_vectors(f: FieldSpec, n: int, seed: int, tries: int):
+    """The n unit vectors, then `tries` draws of f.random_scalar from
+    Random(seed) with the zero draws dropped, as lists, lazily.
+
+    The sampled branch of `coeff_vectors`; a search that samples before an
+    exhaustive certificate takes it directly.
+    """
+    for i in range(n):
+        yield [int(i == j) for j in range(n)]
+    rng = Random(seed)
+    for _ in range(tries):
+        vec = [f.random_scalar(rng) for _ in range(n)]
+        if any(vec):
+            yield vec
+
 
 # bytes one temporary of a chunked stack computation may take
 STACK_BYTES = 1 << 20
@@ -556,14 +605,18 @@ def smith_normal_form(m: MatZ):
     vm = MatZ.make(v)
     # verify the factorization and unimodularity
     prod = _matz_mul(_matz_mul(u, m.to_lists()), v)
-    assert prod == a, "smith factorization mismatch"
-    assert abs(_det_sign_unimodular(u)) == 1, "u not unimodular"
-    assert abs(_det_sign_unimodular(v)) == 1, "v not unimodular"
+    if prod != a:
+        raise CertificateError("smith factorization mismatch")
+    if abs(_det_sign_unimodular(u)) != 1:
+        raise CertificateError("u not unimodular")
+    if abs(_det_sign_unimodular(v)) != 1:
+        raise CertificateError("v not unimodular")
     for k in range(min(nr, nc) - 1):
         d0, d1 = a[k][k], a[k + 1][k + 1]
-        assert d0 >= 0 and d1 >= 0
-        if d1 != 0:
-            assert d0 != 0 and d1 % d0 == 0, "divisibility chain broken"
+        if d0 < 0 or d1 < 0:
+            raise CertificateError("negative diagonal entry")
+        if d1 != 0 and (d0 == 0 or d1 % d0 != 0):
+            raise CertificateError("divisibility chain broken")
     return um, sm, vm
 
 

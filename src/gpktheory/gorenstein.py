@@ -10,6 +10,7 @@ witness against the regular module), or Inconclusive.
 
 from dataclasses import dataclass, field
 
+from .exactla import CertificateError
 from .presentation import FiniteDimAlgebra, opposite
 from .rep import (
     CanonicalRegistry,
@@ -104,7 +105,8 @@ def _dimension_report(a: FiniteDimAlgebra, bound: int) -> DimensionReport:
         projective_dimension(dual_rep(regular(op)), bound), bound
     )
     if isinstance(left, int) and isinstance(right, int):
-        assert left == right, "finite one-sided self-injective dimensions must agree"
+        if left != right:
+            raise CertificateError("finite one-sided self-injective dimensions must agree")
         status, gdim = "yes", left
     else:
         status, gdim = "no_within_bound", None

@@ -22,25 +22,24 @@ they also run under `python -O`.
 
 from dataclasses import dataclass
 from math import gcd, prod
-from random import Random
 
 import numpy as np
 
 from . import exactla
 from .exactla import (
-    EXHAUSTIVE_CAP,
     AbelianGroupDescription,
     CertificateError,
     FieldSpec,
     MatZ,
     StructureAlgebra,
+    coeff_vectors,
     group_from_presentation,
 )
 from .gorenstein import GPCatalog, certify_gp
 from .presentation import FiniteDimAlgebra
 from .rep import (
+    HomSpace,
     Representation,
-    _line_coeff_vectors,
     decompose,
     direct_sum,
     ext1_class_reps,
@@ -129,40 +128,24 @@ def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0) -> K0
             if is_projective(z):
                 continue  # extensions out of a projective all split
             classes, enclosing = ext1_class_reps(z, x)
-            d = len(classes)
-            if d == 0:
+            if not classes:
                 continue
-            f = a.field
-            if f.char and f.char**d <= EXHAUSTIVE_CAP:
-                # the middle terms along xi and c*xi (c != 0) are isomorphic,
-                # so one class per line gives every distinct row
-                combos = _line_coeff_vectors(f.char, d)
-            else:
+            # the middle terms along xi and c*xi (c != 0) are isomorphic,
+            # so one class per line gives every distinct row
+            combos, exhaustive = coeff_vectors(
+                a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
+            )
+            if not exhaustive:
                 warnings.append(
-                    f"ext classes sampled (dimension {d}) for a pair of "
+                    f"ext classes sampled (dimension {len(classes)}) for a pair of "
                     f"dims {z.dim_vector} -> {x.dim_vector}"
                 )
-                combos = _sampled_vectors(f, d, seed)
+            ext = HomSpace(classes[0].domain, classes[0].codomain, tuple(classes))
             for coeffs in combos:
-                cls = None
-                for c, b in zip(coeffs, classes):
-                    term = b.scale(f.canon(c))
-                    cls = term if cls is None else cls.add(term)
-                e_rep, _, _ = middle_term(z, x, cls, enclosing)
+                e_rep, _, _ = middle_term(z, x, ext.element(coeffs), enclosing)
                 rows.append(_class_vector_row(a, items, x, z, e_rep))
     matrix = MatZ.make(rows) if rows else MatZ.make([])
     return K0Input(catalog, labels, matrix, tuple(warnings))
-
-
-def _sampled_vectors(f: FieldSpec, n: int, seed: int):
-    eye = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        yield list(eye[i])
-    rng = Random(seed)
-    for _ in range(RANDOM_CLASSES):
-        vec = [f.random_scalar(rng) for _ in range(n)]
-        if any(c != 0 for c in vec):
-            yield vec
 
 
 def k0_gorenstein(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactla
+from .exactla import CertificateError
 from .gorenstein import GPCatalog, gp_catalog
 from .ktheory import k0_gorenstein, k1_gorenstein
 from .presentation import (
@@ -170,7 +171,8 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
                 )
             )
     t = build_algebra(qt, rels, f, max_len=b.loewy_length + a.loewy_length)
-    assert t.dim == b.dim * a.dim
+    if t.dim != b.dim * a.dim:
+        raise CertificateError("tensor algebra dimension is not the product")
     cache[id(a)] = (a, t)
     return t
 
@@ -449,7 +451,8 @@ def _row_module(m: Bimodule, u: str) -> Representation:
 
 def _hom_coords(f, basis_mat, morphism):
     coeffs = exactla.solve_raw(f, basis_mat.T, morphism.as_vector())
-    assert coeffs is not None
+    if coeffs is None:
+        raise CertificateError("morphism escapes the hom space")
     return coeffs
 
 
@@ -472,8 +475,8 @@ def _hom_family_rep(t, f, homs, dims, arrow_actions):
             img = act(g)
             if dims[tgt]:
                 mat[:, col] = _hom_coords(f, basis_mats[tgt], img)
-            else:
-                assert img.is_zero
+            elif not img.is_zero:
+                raise CertificateError("action leaves a zero hom space")
         maps[label] = mat
     return Representation(t, dims, maps, check=True)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .exactla import FieldSpec
+from .exactla import CertificateError, FieldSpec
 
 
 class NotAdmissibleWithinBound(Exception):
@@ -254,19 +254,21 @@ class FiniteDimAlgebra:
     def _verify(self):
         for v in self.quiver.vertices:
             if v not in self.e_index:
-                raise AssertionError(f"missing trivial path at {v}")
+                raise CertificateError(f"missing trivial path at {v}")
         one = self.field.canon(1)
         for v in self.quiver.vertices:
             for w in self.quiver.vertices:
                 prod = self._mult[self.e_index[v]][self.e_index[w]]
-                if v == w:
-                    assert prod == ((self.e_index[v], one),)
-                else:
-                    assert prod == ()
+                if prod != (((self.e_index[v], one),) if v == w else ()):
+                    raise CertificateError(
+                        f"trivial paths at {v}, {w} are not orthogonal idempotents"
+                    )
         unit = self.unit_sparse()
         for i in range(self.dim):
-            assert self.mult_sparse(unit, {i: one}) == {i: one}
-            assert self.mult_sparse({i: one}, unit) == {i: one}
+            if self.mult_sparse(unit, {i: one}) != {i: one}:
+                raise CertificateError(f"unit is not a left unit on basis element {i}")
+            if self.mult_sparse({i: one}, unit) != {i: one}:
+                raise CertificateError(f"unit is not a right unit on basis element {i}")
         if self.dim <= 16:
             triples = [
                 (i, j, k)
@@ -282,7 +284,8 @@ class FiniteDimAlgebra:
         for i, j, k in triples:
             left = self.mult_sparse(self.mult_sparse({i: one}, {j: one}), {k: one})
             right = self.mult_sparse({i: one}, self.mult_sparse({j: one}, {k: one}))
-            assert left == right, f"associativity fails at {(i, j, k)}"
+            if left != right:
+                raise CertificateError(f"associativity fails at {(i, j, k)}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,8 @@ def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> 
 
     basis = [p for p in paths if p.length < nilpotency and coord[p] not in rows]
     for c in rows:
-        assert desc[c].length >= 2, "admissible ideal produced a short pivot"
+        if desc[c].length < 2:
+            raise CertificateError("admissible ideal produced a short pivot")
     basis.sort(key=lambda p: _path_key(q, p))
     index = {p: i for i, p in enumerate(basis)}
 
@@ -432,7 +436,8 @@ def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> 
             if k == c:
                 continue
             tail = desc[k]
-            assert tail.length < nilpotency, "pivot tail escapes the basis cut"
+            if tail.length >= nilpotency:
+                raise CertificateError("pivot tail escapes the basis cut")
             out.append((index[tail], field.canon(-v)))
         out.sort()
         return tuple(out)

@@ -9,12 +9,17 @@ canonical form so repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
 from . import exactla
-from .exactla import EXHAUSTIVE_CAP, CertificateError, FieldSpec, StructureAlgebra
+from .exactla import (
+    CertificateError,
+    FieldSpec,
+    StructureAlgebra,
+    coeff_vectors,
+    sampled_coeff_vectors,
+)
 from .presentation import FiniteDimAlgebra, Path, opposite
 
 
@@ -869,50 +874,16 @@ def _find_isomorphism(m: Representation, n: Representation, seed: int, tries: in
     hs = hom_basis(m, n)
     if hs.dim == 0:
         return False, None
-    f = m.field
-    if f.char and f.char ** hs.dim <= EXHAUSTIVE_CAP:
-        # isomorphy survives nonzero scalars, so one vector per line suffices
-        for coeffs in _line_coeff_vectors(f.char, hs.dim):
-            cand = hs.element(coeffs)
-            if cand.is_iso():
-                return True, cand
-        return False, None
-    # isomorphisms, when they exist, fill a GL-sized fraction of the hom
-    # space, so a seeded random sweep is reliable; negatives are backed by
-    # the additive invariant battery
-    for cand in hs.basis:
-        if cand.is_iso():
-            return True, cand
-    rng = Random(seed)
-    for _ in range(tries):
-        cand = hs.element([f.random_scalar(rng) for _ in range(hs.dim)])
+    # exhaustive: isomorphy survives nonzero scalars, so one vector per line
+    # suffices.  Sampled: isomorphisms, when they exist, fill a GL-sized
+    # fraction of the hom space, so a seeded random sweep is reliable;
+    # negatives are backed by the additive invariant battery
+    coeffs, _ = coeff_vectors(m.field, hs.dim, seed=seed, tries=tries)
+    for c in coeffs:
+        cand = hs.element(c)
         if cand.is_iso():
             return True, cand
     return False, None
-
-
-def _all_coeff_vectors(p: int, n: int):
-    total = p**n
-    for x in range(total):
-        out = []
-        v = x
-        for _ in range(n):
-            out.append(v % p)
-            v //= p
-        yield out
-
-
-def _line_coeff_vectors(p: int, n: int):
-    """One nonzero vector per line of GF(p)^n: those whose last nonzero entry
-    is 1, in the increasing base-p order of `_all_coeff_vectors`.
-
-    Each is the first of its nonzero scalar multiples in that order, so a
-    search for a scalar-invariant property finds the same first hit here
-    as in the full enumeration.
-    """
-    for k in range(n):
-        for head in _all_coeff_vectors(p, k):
-            yield head + [1] + [0] * (n - k - 1)
 
 
 def _invariant_battery(m: Representation):
@@ -1006,10 +977,7 @@ def _split_pieces(m: Representation, seed: int):
     ends = hom_basis(m, m)
     if ends.dim == 1:
         return [m]
-    rng = Random(seed)
-    cands = list(ends.basis)
-    for _ in range(8):
-        cands.append(ends.element([f.random_scalar(rng) for _ in range(ends.dim)]))
+    cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, seed, 8)]
     lambdas = list(f.elements()) if f.char else [0, 1, -1, 2, -2]
     split = _first_fitting_split(m, cands, lambdas)
     if split is not None:
@@ -1018,8 +986,9 @@ def _split_pieces(m: Representation, seed: int):
     if not f.char:
         raise FieldUnsupported("cannot certify indecomposability over QQ")
     # certification over GF(p)
-    if f.char**ends.dim <= EXHAUSTIVE_CAP:
-        coeffs = _first_idempotent(ends)
+    every, exhaustive = coeff_vectors(f, ends.dim, lines=False)
+    if exhaustive:
+        coeffs = _first_idempotent(ends, every)
         if coeffs is None:
             return [m]
         e = ends.element(coeffs)
@@ -1060,10 +1029,9 @@ def _split_pieces(m: Representation, seed: int):
         raise CertificateError("commutative split vector found no splitting")
     # noncommutative semisimple quotient: decomposable; retry harder
     for extra in range(8):
-        rng2 = Random(seed + 1000 + extra)
         cands = [
-            ends.element([f.random_scalar(rng2) for _ in range(ends.dim)])
-            for _ in range(64)
+            ends.element(c)
+            for c in sampled_coeff_vectors(f, ends.dim, seed + 1000 + extra, 64)
         ]
         split = _first_fitting_split(m, cands, list(f.elements()))
         if split is not None:
@@ -1186,23 +1154,19 @@ def _end_algebra(ends: HomSpace) -> StructureAlgebra:
     return StructureAlgebra(m.field, table, unit)
 
 
-def _first_idempotent(ends: HomSpace):
-    """Coefficients of the first idempotent other than 0 and 1 in End(m),
-    in `_all_coeff_vectors` order, or None.  Over GF(p) only.
+def _first_idempotent(ends: HomSpace, candidates: np.ndarray):
+    """The first row of `candidates` that is the coefficient vector of an
+    idempotent other than 0 and 1 in End(m), as a list, or None.  Over GF(p)
+    only.
 
-    Coefficient vectors are tested in batches with the product of
-    `_end_algebra`, each batch sized so the product's temporaries stay
-    under _STACK_BYTES.
+    Rows are tested in batches with the product of `_end_algebra`, each
+    batch sized so the product's temporaries stay under _STACK_BYTES.
     """
     end = _end_algebra(ends)
-    p = ends.domain.field.char
     e = ends.dim
-    place = p ** np.arange(e, dtype=np.int64)
-    total = p**e
     batch = max(1, _STACK_BYTES // (8 * e * e))
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        coeffs = (idx[:, None] // place) % p
+    for start in range(0, len(candidates), batch):
+        coeffs = candidates[start : start + batch]
         hits = (
             (end.mult(coeffs, coeffs) == coeffs).all(axis=1)
             & coeffs.any(axis=1)

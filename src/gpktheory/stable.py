@@ -8,17 +8,16 @@ projective lifts along the cover epi, so the cover suffices).
 
 from dataclasses import dataclass
 from itertools import chain
-from random import Random
 
 import numpy as np
 
 from . import exactla
-from .exactla import EXHAUSTIVE_CAP, CertificateError
+from .exactla import CertificateError, coeff_vectors
 from .gorenstein import certify_gp
 from .rep import (
+    HomSpace,
     Morphism,
     Representation,
-    _line_coeff_vectors,
     decompose,
     direct_sum,
     hom_basis,
@@ -239,35 +238,15 @@ def _witness_search(m: Representation, n: Representation, seed: int):
     back = _space_cache(n, m)
     end_m = _space_cache(m, m)
     end_n = _space_cache(n, n)
-    field = m.field
-    coset = fwd.coset_basis()
     e = fwd.dim
     if e == 0:
         g = _solve_stable_inverse(zero_morphism(m, n), end_m, end_n, back)
         return ((zero_morphism(m, n), g) if g is not None else None), True
-
-    def lift(coeffs):
-        out = None
-        for c, b in zip(coeffs, coset):
-            term = b.scale(field.canon(c))
-            out = term if out is None else out.add(term)
-        return out if out is not None else zero_morphism(m, n)
-
-    exhaustive = bool(field.char) and field.char**e <= EXHAUSTIVE_CAP
-    if exhaustive:
-        # f and c*f (c != 0) are stably invertible together, so the zero map
-        # plus one vector per line covers every class
-        candidates = (
-            lift(c)
-            for c in chain([[0] * e], _line_coeff_vectors(field.char, e))
-        )
-    else:
-        rng = Random(seed)
-        pool = [zero_morphism(m, n)] + list(coset)
-        for _ in range(RANDOM_TRIES):
-            pool.append(lift([field.random_scalar(rng) for _ in range(e)]))
-        candidates = iter(pool)
-    for cand in candidates:
+    coset = HomSpace(m, n, tuple(fwd.coset_basis()))
+    # exhaustive: f and c*f (c != 0) are stably invertible together, so the
+    # zero map plus one vector per line covers every class
+    coeffs, exhaustive = coeff_vectors(m.field, e, seed=seed, tries=RANDOM_TRIES)
+    for cand in chain([zero_morphism(m, n)], map(coset.element, coeffs)):
         g = _solve_stable_inverse(cand, end_m, end_n, back)
         if g is not None:
             return (cand, g), exhaustive

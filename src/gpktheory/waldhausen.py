@@ -4,14 +4,16 @@ GP catalog and read the Grothendieck group off the S2 layer.
 Objects are direct sums of catalog items and indecomposable projectives,
 truncated by multiplicity and total dimension.  Cofibrations are
 monomorphisms whose cokernel decomposes into catalog items and projectives
-(certified).  The mono search is exhaustive whenever the hom space is small
-enough and otherwise falls back to the canonical split inclusion only, with
-the skip reported — never randomly sampled.  The exhaustive search runs
-over maps up to nonzero scalars, one representative per line, and tests
+(certified).  The mono search is exhaustive whenever exactla's one policy
+(`is_exhaustive`) says the hom space is, and otherwise falls back to the
+canonical split inclusion only, with the skip reported — never randomly
+sampled.  The exhaustive search runs over the line representatives of
+`exactla.coeff_vectors`, one map per line up to nonzero scalars, and tests
 them all in one stacked row reduction per vertex; it finds the same
 cofibrations and notes as a search over every map.  Weak equivalence
-classes are projective-stripped summand multisets.  All of this is
-independent of the relation-harvesting route in the ktheory module;
+classes are projective-stripped summand multisets.  Failed certificates
+raise exactla.CertificateError, so they also run under `python -O`.  All of
+this is independent of the relation-harvesting route in the ktheory module;
 agreement of the two groups is the repository's central cross-check.
 """
 
@@ -21,14 +23,20 @@ from random import Random
 import numpy as np
 
 from . import exactla
-from .exactla import EXHAUSTIVE_CAP, AbelianGroupDescription, group_from_presentation
+from .exactla import (
+    EXHAUSTIVE_CAP,
+    AbelianGroupDescription,
+    CertificateError,
+    coeff_vectors,
+    group_from_presentation,
+    is_exhaustive,
+)
 from .gorenstein import GPCatalog, certify_gp
 from .ktheory import CatalogUnknown
 from .rep import (
     Morphism,
     Representation,
     _invariant_battery,
-    _line_coeff_vectors,
     cokernel,
     decompose,
     direct_sum,
@@ -214,7 +222,7 @@ def build_wdata(catalog: GPCatalog, depth: int = 2) -> FiniteWaldhausenData:
                 for i, xm in enumerate(x.all_mults)
                 for j, ym in enumerate(y.all_mults)
             )
-            if f.char**h <= EXHAUSTIVE_CAP:
+            if is_exhaustive(f, h):
                 _exhaustive_cofibrations(data, x, y, h)
             else:
                 _split_cofibration(data, x, y)
@@ -231,15 +239,17 @@ def _exhaustive_cofibrations(data, x: WObject, y: WObject, h: int):
     """All monos x.rep >-> y.rep with admissible cokernel, one per image.
 
     A map and its nonzero multiples share mono-ness and image, and the
-    line representatives of `_line_coeff_vectors` come first in their
-    lines, so scanning them finds the same first map per image as scanning
-    every coefficient vector.
+    line representatives of `coeff_vectors` come first in their lines, so
+    scanning them finds the same first map per image as scanning every
+    coefficient vector.
     """
-    p = data.algebra.field.char
+    f = data.algebra.field
+    p = f.char
     verts = data.algebra.quiver.vertices
     hs = hom_basis(x.rep, y.rep)
-    assert hs.dim == h
-    coeff_mat = np.array(list(_line_coeff_vectors(p, h)), dtype=np.int64)
+    if hs.dim != h:
+        raise CertificateError("hom dimension differs from the part-level table")
+    coeff_mat, _ = coeff_vectors(f, h)
     # all candidate blocks at once: (num_candidates, n_v, m_v) per vertex;
     # with h == 0 the zero map is the only candidate
     stacks = {}
@@ -287,7 +297,8 @@ def _split_cofibration(data, x: WObject, y: WObject):
         return
     coker, q = cokernel(mono)
     cls = _weak_class(data, coker)
-    assert cls is not None, "split complement must stay in the closure"
+    if cls is None:
+        raise CertificateError("split complement must stay in the closure")
     _verify_exact(mono, q)
     data.cofibrations.append(
         Cofibration(x.index, y.index, mono, coker, q, cls, split=True)
@@ -311,7 +322,8 @@ def _split_inclusion(data, x: WObject, y: WObject):
     ysum, yinj, _ = direct_sum(y_parts)
     # objects were assembled in the same canonical summand order, so the
     # identification of x.rep/y.rep with the abstract sums is the identity
-    assert xsum.key() == x.rep.key() and ysum.key() == y.rep.key()
+    if xsum.key() != x.rep.key() or ysum.key() != y.rep.key():
+        raise CertificateError("objects are not the canonical sums of their parts")
     ypos = {}
     pos = 0
     for kind, m in enumerate(ya):
@@ -336,13 +348,16 @@ def _is_split(data, x: WObject, y: WObject, coker_cls: int) -> bool:
 
 
 def _verify_exact(mono: Morphism, q: Morphism):
-    assert mono.is_mono()
-    assert q.is_epi()
-    assert q.compose(mono).is_zero
-    assert (
-        mono.codomain.total_dim
-        == mono.domain.total_dim + q.codomain.total_dim
-    )
+    """Certify 0 -> X -> Y -> Z -> 0: mono injective, q onto, q . mono = 0 and
+    dim Y = dim X + dim Z."""
+    if not mono.is_mono():
+        raise CertificateError("cofibration is not a monomorphism")
+    if not q.is_epi():
+        raise CertificateError("quotient map is not an epimorphism")
+    if not q.compose(mono).is_zero:
+        raise CertificateError("quotient does not vanish on the cofibration")
+    if mono.codomain.total_dim != mono.domain.total_dim + q.codomain.total_dim:
+        raise CertificateError("dimensions of the sequence do not add up")
 
 
 def s2_faces(data: FiniteWaldhausenData):
@@ -412,21 +427,25 @@ def _induced_pushout_map(q: Morphism, qp: Morphism, vy: Morphism, vz: Morphism):
     blocks = {}
     for v in q.domain.algebra.quiver.vertices:
         sol = exactla.solve_matrix(f, q.blocks[v].T, rhs.blocks[v].T)
-        assert sol is not None, "induced map does not descend to the pushout"
+        if sol is None:
+            raise CertificateError("induced map does not descend to the pushout")
         blocks[v] = sol.T
     out = Morphism(q.codomain, qp.codomain, blocks).verify()
-    assert _morphs_equal(out.compose(q), rhs)
+    if not _morphs_equal(out.compose(q), rhs):
+        raise CertificateError("induced pushout map does not commute")
     return out
 
 
 def _rehome(mor: Morphism, new_domain: Representation) -> Morphism:
     """Reattach canonical blocks to an equal-shaped concrete domain object."""
-    assert new_domain.dim_vector == mor.domain.dim_vector
+    if new_domain.dim_vector != mor.domain.dim_vector:
+        raise ValueError("new domain has another dimension vector")
     return Morphism(new_domain, mor.codomain, mor.blocks)
 
 
 def _rehome_codomain(mor: Morphism, new_codomain: Representation) -> Morphism:
-    assert new_codomain.dim_vector == mor.codomain.dim_vector
+    if new_codomain.dim_vector != mor.codomain.dim_vector:
+        raise ValueError("new codomain has another dimension vector")
     return Morphism(mor.domain, new_codomain, mor.blocks)
 
 
@@ -511,7 +530,8 @@ def gluing_check(data: FiniteWaldhausenData, trials: int = 100, seed: int = 0) -
             _, injs, _ = direct_sum([z, pad])
             mono2, attach2 = c.mono, injs[0].compose(attach)
             vy, vz = identity_morphism(y), injs[0]
-        assert mono2.is_mono()
+        if not mono2.is_mono():
+            raise CertificateError("modified cofibration is not a monomorphism")
         _, _, _, q2 = pushout(mono2, attach2)
         p, p2 = q.codomain, q2.codomain
         phi = _induced_pushout_map(q, q2, vy, vz)
@@ -579,7 +599,8 @@ def sample_s3_flags(data: FiniteWaldhausenData, count: int = 32, seed: int = 0):
         m13 = m23.compose(m12)
         c13, q13 = cokernel(m13)
         iota = _descend(c.quotient, q13.compose(m23))
-        assert iota.is_mono(), "induced subquotient map is not mono"
+        if not iota.is_mono():
+            raise CertificateError("induced subquotient map is not mono")
         flags.append(
             SnSimplex(
                 objects=(
@@ -602,10 +623,12 @@ def _descend(epi: Morphism, target: Morphism) -> Morphism:
     blocks = {}
     for v in epi.domain.algebra.quiver.vertices:
         sol = exactla.solve_matrix(f, epi.blocks[v].T, target.blocks[v].T)
-        assert sol is not None, "map does not descend along the quotient"
+        if sol is None:
+            raise CertificateError("map does not descend along the quotient")
         blocks[v] = sol.T
     out = Morphism(epi.codomain, target.codomain, blocks).verify()
-    assert _morphs_equal(out.compose(epi), target)
+    if not _morphs_equal(out.compose(epi), target):
+        raise CertificateError("descended map does not commute")
     return out
 
 

@@ -118,6 +118,24 @@ def seeded_sums(a, rng):
     return [twisted(two, rng), three]
 
 
+def all_coeff_vectors(p, n):
+    """Every vector of GF(p)^n as a list, in increasing base-p order (entry i
+    is digit i): the pure-Python reference for exactla.coeff_vectors."""
+    for x in range(p**n):
+        out = []
+        for _ in range(n):
+            out.append(x % p)
+            x //= p
+        yield out
+
+
+def every_coeff_vector(f, n, **_):
+    """Stand-in for exactla.coeff_vectors on an exhaustive space: every
+    nonzero vector, not one per line.  The reference for the searches that
+    take one vector per line."""
+    return [v for v in all_coeff_vectors(f.char, n) if any(v)], True
+
+
 # shared expensive builds, memoized for the whole pytest run ----------------
 
 _WDATA_CACHE = {}

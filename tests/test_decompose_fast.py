@@ -24,6 +24,7 @@ from builders import (
     alg61b,
     alg62a,
     alg62b,
+    all_coeff_vectors,
     loop_square_zero,
     nakayama,
     seeded_sums,
@@ -71,7 +72,7 @@ def _ref_shift_loop(m, cands, lambdas):
 def _ref_first_idempotent(ends):
     m = ends.domain
     ident = identity_morphism(m)
-    for coeffs in rep._all_coeff_vectors(m.field.char, ends.dim):
+    for coeffs in all_coeff_vectors(m.field.char, ends.dim):
         e = ends.element(coeffs)
         if e.is_zero or rep._morph_eq(e, ident):
             continue
@@ -232,7 +233,9 @@ def test_batched_idempotent_matches_scalar_loop(monkeypatch, stack_bytes, label,
     monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
     ends = hom_basis(m, m)
     assert 1 < ends.dim and m.field.char**ends.dim <= 4096  # the exhaustive branch
-    found = rep._first_idempotent(ends)
+    every, exhaustive = exactla.coeff_vectors(m.field, ends.dim, lines=False)
+    assert exhaustive
+    found = rep._first_idempotent(ends, every)
     assert found == _ref_first_idempotent(ends)
     assert (found is not None) == splits
 

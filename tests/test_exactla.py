@@ -1,4 +1,5 @@
-"""Exact linear algebra: row reduction, kernels, Smith form, group presentations."""
+"""Exact linear algebra: row reduction, kernels, Smith form, group
+presentations, and the one exhaustive-or-sampled coefficient search."""
 
 from fractions import Fraction
 from random import Random
@@ -6,11 +7,15 @@ from random import Random
 import numpy as np
 import pytest
 
+from gpktheory import exactla
 from gpktheory.exactla import (
+    EXHAUSTIVE_CAP,
     AbelianGroupDescription,
+    CertificateError,
     FieldSpec,
     MatF,
     MatZ,
+    coeff_vectors,
     group_from_presentation,
     invert,
     kernel,
@@ -22,6 +27,8 @@ from gpktheory.exactla import (
     solve,
     solve_matrix,
 )
+
+from builders import all_coeff_vectors
 
 GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
@@ -192,6 +199,19 @@ def test_smith_transforms_multiply_back():
                 assert d0 and d1 % d0 == 0
 
 
+def test_smith_certificate_raises(monkeypatch):
+    m = MatZ.make([[2, 0], [0, 3]])
+    with monkeypatch.context() as mp:
+        mp.setattr(exactla, "_det_sign_unimodular", lambda u: 2)
+        with pytest.raises(CertificateError, match="not unimodular"):
+            smith_normal_form(m)
+    real = exactla._matz_mul
+    with monkeypatch.context() as mp:
+        mp.setattr(exactla, "_matz_mul", lambda a, b: [[x + 1 for x in r] for r in real(a, b)])
+        with pytest.raises(CertificateError, match="factorization mismatch"):
+            smith_normal_form(m)
+
+
 def _det_fraction(rows):
     n = len(rows)
     a = [[Fraction(x) for x in r] for r in rows]
@@ -290,3 +310,77 @@ def test_free_rank_matches_rational_rank():
         g = group_from_presentation([f"g{i}" for i in range(nc)], rows)
         r = rank_of(QQ, QQ.array(rows))
         assert g.free_rank == nc - r
+
+
+# ---------------------------------------------------------------------------
+# coeff_vectors: the one exhaustive-or-sampled coefficient search
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_coeff_vectors_enumerate_every_vector_and_every_line(p):
+    f = FieldSpec(p)
+    n = 0
+    while p**n <= EXHAUSTIVE_CAP:
+        every = list(all_coeff_vectors(p, n))
+        vecs, exhaustive = coeff_vectors(f, n, lines=False)
+        assert exhaustive and vecs.dtype == np.int64 and vecs.shape == (p**n, n)
+        assert vecs.tolist() == every
+        # a line's representative is the first of its nonzero multiples
+        position = {tuple(v): i for i, v in enumerate(every)}
+        firsts = [
+            v for i, v in enumerate(every)
+            if any(v) and all(position[tuple(c * x % p for x in v)] >= i for c in range(1, p))
+        ]
+        lines, exhaustive = coeff_vectors(f, n, seed=3, tries=5)
+        assert exhaustive and lines.dtype == np.int64 and lines.shape == (len(firsts), n)
+        assert lines.tolist() == firsts
+        assert all(v[max(i for i, c in enumerate(v) if c)] == 1 for v in firsts)
+        n += 1
+    for lines in (True, False):
+        vecs, exhaustive = coeff_vectors(f, n, lines=lines)
+        assert not exhaustive
+        assert len(list(vecs)) == n  # the unit vectors, no draws
+
+
+def test_coeff_vectors_at_n_zero():
+    assert coeff_vectors(GF5, 0, lines=False)[0].tolist() == [[]]
+    assert coeff_vectors(GF5, 0)[0].tolist() == []
+    assert coeff_vectors(GF5, 0)[1]
+    vecs, exhaustive = coeff_vectors(QQ, 0, tries=10)
+    assert not exhaustive and list(vecs) == []
+
+
+def test_coeff_vectors_over_qq_are_never_exhaustive():
+    for n in range(5):
+        for lines in (True, False):
+            vecs, exhaustive = coeff_vectors(QQ, n, lines=lines, seed=n, tries=4)
+            assert not exhaustive
+            vecs = list(vecs)
+            assert vecs[:n] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _old_sampled_vectors(f, n, seed, tries):
+    """The K0 harvest's sampled classes as written before the shared helper."""
+    eye = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        yield list(eye[i])
+    rng = Random(seed)
+    for _ in range(tries):
+        vec = [f.random_scalar(rng) for _ in range(n)]
+        if any(c != 0 for c in vec):
+            yield vec
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (5, 6), (7, 5), (65521, 1), (0, 1), (0, 3)])
+def test_sampled_branch_matches_the_old_generators(p, n):
+    f = FieldSpec(p)
+    dropped = 0
+    for seed in range(6):
+        for tries in (0, 8, 128):
+            vecs, exhaustive = coeff_vectors(f, n, seed=seed, tries=tries)
+            assert not exhaustive
+            vecs = [list(v) for v in vecs]
+            assert vecs == [list(v) for v in _old_sampled_vectors(f, n, seed, tries)]
+            dropped += n + tries - len(vecs)
+    if (p, n) == (0, 1):
+        assert dropped  # zero draws occur and are dropped

@@ -31,13 +31,13 @@ from gpktheory.ktheory import (
     whitehead_reduce,
 )
 from gpktheory.presentation import Quiver, RelationElem, build_algebra
-from gpktheory.rep import _all_coeff_vectors
 
 from builders import (
     alg61a,
     alg61b,
     alg62a,
     alg62b,
+    every_coeff_vector,
     loop_square_zero,
     nakayama,
     semisimple_two,
@@ -98,11 +98,7 @@ def test_k0_harvest_by_lines_matches_every_class(monkeypatch, make):
     cat = gp_catalog(a)
     data = build_k0_input(a, cat)
     with monkeypatch.context() as mp:
-        mp.setattr(
-            ktheory,
-            "_line_coeff_vectors",
-            lambda p, n: (v for v in _all_coeff_vectors(p, n) if any(v)),
-        )
+        mp.setattr(ktheory, "coeff_vectors", every_coeff_vector)
         ref = build_k0_input(a, cat)
     assert set(data.matrix.rows) == set(ref.matrix.rows)
     assert (data.generators, data.warnings) == (ref.generators, ref.warnings)
@@ -503,9 +499,9 @@ def test_frobenius_needs_a_finite_field():
 
 
 def test_ktheory_tests_pass_under_python_O():
-    """The certificates of ktheory, stable, rep and the shared algebra
-    raise rather than assert, so their tests also pass with asserts
-    stripped."""
+    """The certificates of ktheory, stable, rep, presentation and exactla
+    (with the shared algebra) raise rather than assert, so their tests also
+    pass with asserts stripped."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -513,7 +509,7 @@ def test_ktheory_tests_pass_under_python_O():
     files = [
         str(here / name)
         for name in ("test_ktheory.py", "test_stable.py", "test_radical.py", "test_rep.py",
-                     "test_decompose_fast.py")
+                     "test_decompose_fast.py", "test_exactla.py", "test_presentation.py")
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from gpktheory.exactla import FieldSpec
+from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.presentation import (
     InvalidRelation,
     NotAdmissibleWithinBound,
@@ -217,3 +217,16 @@ def test_unit_and_idempotents():
     e2 = {a.e_index["2"]: 1}
     assert a.mult_sparse(e1, e2) == {}
     assert a.mult_sparse(e1, e1) == e1
+
+
+def test_structure_certificates_raise():
+    a = alg61a(GF3)
+    e1, e2 = a.e_index["1"], a.e_index["2"]
+    a._mult[e1][e2] = ((e1, 1),)
+    with pytest.raises(CertificateError, match="orthogonal idempotents"):
+        a._verify()
+    a = alg61a(GF3)
+    x = next(i for i in range(a.dim) if i not in (e1, e2))
+    a._mult[e1][x], a._mult[e2][x] = (), ()
+    with pytest.raises(CertificateError, match="left unit"):
+        a._verify()

@@ -33,7 +33,15 @@ from gpktheory.rep import (
     Representation,
 )
 
-from builders import alg61a, alg61b, alg62a, loop_square_zero, semisimple_two, twisted
+from builders import (
+    alg61a,
+    alg61b,
+    alg62a,
+    every_coeff_vector,
+    loop_square_zero,
+    semisimple_two,
+    twisted,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -237,14 +245,52 @@ def test_is_isomorphic_line_search_matches_full_enumeration(monkeypatch):
         assert m.field.char ** hom_dim(m, n) <= 4096  # the exhaustive branch
         ok, wit = is_isomorphic(m, n)
         with monkeypatch.context() as mp:
-            mp.setattr(rep, "_line_coeff_vectors", rep._all_coeff_vectors)
-            ref_ok, ref_wit = is_isomorphic(m, n)
+            mp.setattr(rep, "coeff_vectors", every_coeff_vector)
+            # the uncached search: is_isomorphic would answer from its memo
+            ref_ok, ref_wit = rep._find_isomorphism(m, n, 0, 128)
         assert ok == ref_ok
         if ok:
             assert all((wit.blocks[v] == ref_wit.blocks[v]).all() for v in wit.blocks)
         else:
             assert wit is None and ref_wit is None
     assert sum(is_isomorphic(m, n)[0] for m, n in pairs) == len(pairs) - 2
+
+
+def _old_sampled_iso_search(m, n, seed, tries):
+    """The sampled isomorphism search as written before the shared helper:
+    the hom basis, then `tries` seeded draws, zero draws included."""
+    hs = hom_basis(m, n)
+    for cand in hs.basis:
+        if cand.is_iso():
+            return True, cand
+    rng = Random(seed)
+    for _ in range(tries):
+        cand = hs.element([m.field.random_scalar(rng) for _ in range(hs.dim)])
+        if cand.is_iso():
+            return True, cand
+    return False, None
+
+
+@pytest.mark.parametrize("p", [5, 7, 0])
+def test_sampled_isomorphism_search_matches_the_old_loop(p):
+    rng = Random(p)
+    a = alg61a(FieldSpec(p))
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
+    p1, p2 = projective(a, "1"), projective(a, "2")
+    m = direct_sum([p1, p2, g])[0]
+    pairs = [(m, twisted(m, rng)), (m, direct_sum([p1, p2, split])[0])]
+    answers = []
+    for x, y in pairs:
+        assert p == 0 or p ** hom_dim(x, y) > 4096  # the sampled branch
+        for seed, tries in ((0, 128), (1, 8), (2, 0)):
+            ok, wit = rep._find_isomorphism(x, y, seed, tries)
+            ref_ok, ref_wit = _old_sampled_iso_search(x, y, seed, tries)
+            assert ok == ref_ok
+            if ok:
+                assert all((wit.blocks[v] == ref_wit.blocks[v]).all() for v in wit.blocks)
+            answers.append(ok)
+    assert answers == [True, True, False, False, False, False]
 
 
 def test_semisimple_everything_projective():

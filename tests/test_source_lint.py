@@ -1,0 +1,39 @@
+"""Source checks on the package: no assert statements (they vanish under
+`python -O`), and only exactla compares against EXHAUSTIVE_CAP (one
+exhaustive-or-sampled policy)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gpktheory"
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/gpktheory: {found}"
+
+
+def test_only_exactla_compares_against_the_exhaustive_cap():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name != "exactla.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and "EXHAUSTIVE_CAP" in _names(node)
+    ]
+    assert not found, f"EXHAUSTIVE_CAP compared outside exactla: {found}"

@@ -8,7 +8,6 @@ from gpktheory import stable
 from gpktheory.exactla import FieldSpec
 from gpktheory.rep import (
     Representation,
-    _all_coeff_vectors,
     cyclic_module,
     direct_sum,
     identity_morphism,
@@ -28,7 +27,7 @@ from gpktheory.stable import (
     _witness_search,
 )
 
-from builders import alg61a, alg61b, loop_square_zero
+from builders import alg61a, alg61b, every_coeff_vector, loop_square_zero
 
 GF3 = FieldSpec(3)
 
@@ -172,7 +171,7 @@ def test_witness_line_search_matches_full_enumeration(monkeypatch):
     for m, n in pairs:
         found, exhaustive = _witness_search(m, n, seed=0)
         with monkeypatch.context() as mp:
-            mp.setattr(stable, "_line_coeff_vectors", _all_coeff_vectors)
+            mp.setattr(stable, "coeff_vectors", every_coeff_vector)
             ref, ref_exhaustive = _witness_search(m, n, seed=0)
         assert exhaustive and ref_exhaustive
         assert (found is None) == (ref is None)

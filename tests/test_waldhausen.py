@@ -3,22 +3,24 @@ agreement with the relation-harvesting route, gluing, and face identities."""
 
 from random import Random
 
+import pytest
+
 from builders import (
     GF2,
     alg61a,
     alg61b,
     alg62b,
+    all_coeff_vectors,
     cached_wdata,
     loop_square_zero,
     semisimple_two,
 )
 from gpktheory import exactla, waldhausen
-from gpktheory.exactla import FieldSpec
+from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
 from gpktheory.rep import (
     Representation,
-    _all_coeff_vectors,
     cokernel,
     hom_basis,
     identity_morphism,
@@ -227,7 +229,7 @@ def _reference_cofibrations(data, x, y, h):
     verts = data.algebra.quiver.vertices
     hs = hom_basis(x.rep, y.rep)
     seen = set()
-    for coeffs in _all_coeff_vectors(f.char, h):
+    for coeffs in all_coeff_vectors(f.char, h):
         cand = hs.element(coeffs) if h else zero_morphism(x.rep, y.rep)
         if any(exactla.rank_of(f, cand.blocks[v]) != x.rep.dims[v] for v in verts):
             continue
@@ -278,3 +280,16 @@ def test_line_search_matches_full_enumeration(monkeypatch):
             ref = build_wdata(catalog, depth=1)
         assert _cofibration_rows(fast) == _cofibration_rows(ref)
         assert fast.notes == ref.notes
+
+
+def test_verify_exact_rejects_non_exact_pairs():
+    data = cached_wdata("61a_gf5")
+    c = next(c for c in data.cofibrations if not data.objects[c.src].is_zero and not c.coker.is_zero)
+    x, y = c.mono.domain, c.mono.codomain
+    waldhausen._verify_exact(c.mono, c.quotient)
+    with pytest.raises(CertificateError, match="not a monomorphism"):
+        waldhausen._verify_exact(zero_morphism(x, y), c.quotient)
+    with pytest.raises(CertificateError, match="not an epimorphism"):
+        waldhausen._verify_exact(c.mono, zero_morphism(y, c.coker))
+    with pytest.raises(CertificateError, match="does not vanish"):
+        waldhausen._verify_exact(c.mono, identity_morphism(y))
