@@ -520,9 +520,9 @@ def cmd_analyze(args):
 def cmd_gp(args):
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
-    dim_cap, iter_cap, _, _ = _caps(af, args)
+    dim_cap, iter_cap, seed, _ = _caps(af, args)
     rep = dimension_report(a)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
     out = {
         "algebra": _algebra_json(af, a),
         "dimension_report": _dimension_json(rep),
@@ -536,14 +536,14 @@ def _k_command(args, which):
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
     dim_cap, iter_cap, seed, _ = _caps(af, args)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
     out = {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
     if cat.verdict == "Unknown":
         out[which] = None
         out["warnings"].append("catalog verdict Unknown: K-groups not computed")
         return out, [f"{which}: not computed (catalog Unknown)"], 2
     if which == "k0":
-        out["k0"] = _group_json(k0_gorenstein(a, cat, seed=seed))
+        out["k0"] = _group_json(k0_gorenstein(a, cat))
     else:
         out["k1"] = _group_json(k1_gorenstein(a, cat).group)
     lines = [
@@ -566,7 +566,7 @@ def cmd_oracle_k0(args):
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
     dim_cap, iter_cap, seed, depth = _caps(af, args)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
     out = {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
     if cat.verdict == "Unknown":
         out["k0"] = None
@@ -574,7 +574,7 @@ def cmd_oracle_k0(args):
         out["oracle_agreement"] = None
         out["warnings"].append("catalog verdict Unknown: K-groups not computed")
         return out, ["oracle-k0: not computed (catalog Unknown)"], 2
-    g = k0_gorenstein(a, cat, seed=seed)
+    g = k0_gorenstein(a, cat)
     data = build_wdata(cat, depth=depth)
     og = k0_oracle(data)
     out["k0"] = _group_json(g)

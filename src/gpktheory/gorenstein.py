@@ -6,21 +6,30 @@ dimension of its vector-space dual over the opposite algebra (and dually on
 the right).  A module certificate is one of three honest verdicts:
 GorensteinProjective (with re-checkable data), NotGP (with a nonzero Ext
 witness against the regular module), or Inconclusive.
+
+The GP catalog is closed in one pass under syzygy, co-syzygy, direct
+summands and extensions: GP modules are closed under extensions, and the
+short exact sequences among them are the relations of the Gorenstein K0.
+So the pass that builds the middle terms of the extensions between items
+also records each one's relation row [E] - [X] - [Z], and ktheory reads K0
+off these rows.
 """
 
 from dataclasses import dataclass, field
 
-from .exactla import CertificateError
+from .exactla import CertificateError, coeff_vectors
 from .presentation import FiniteDimAlgebra, opposite
 from .rep import (
-    CanonicalRegistry,
     FieldUnsupported,
+    HomSpace,
     Representation,
     decompose,
     dual_rep,
+    ext1_class_reps,
     ext_data,
     is_isomorphic,
     is_projective,
+    middle_term,
     projective_dimension,
     regular,
     simple,
@@ -30,6 +39,7 @@ from .rep import (
 
 DEFAULT_BOUND = 16
 PROBE_DEPTH = 4  # syzygy depth used for seeds when the Gorenstein dimension is unknown
+RANDOM_CLASSES = 128  # sampled classes per pair when Ext^1 is too large to list
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,7 @@ class GPCatalog:
     report: DimensionReport
     certificates: list  # GPVerdict per item
     notes: list
+    relations: list  # one row [E] - [X] - [Z] per extension class, in item order
 
     def describe(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -203,15 +214,22 @@ class GPCatalog:
 
 
 def gp_catalog(
-    a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32
+    a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32, seed: int = 0
 ) -> GPCatalog:
     """Enumerate indecomposable non-projective GP modules and settle CM type.
 
     Seeds are d-th syzygies of the simples (d = Gorenstein dimension, or a
-    fixed probe depth when unknown); the seed set is closed under syzygy,
-    co-syzygy, and direct-sum decomposition, with projective summands
-    discarded.  Caps force termination; hitting one demotes the verdict to
-    Unknown.
+    fixed probe depth when unknown).  Rounds of syzygy and co-syzygy run
+    until no new item appears; then one round builds the middle term E of
+    one extension 0 -> X -> E -> Z -> 0 per line of Ext^1(Z, X) for every
+    ordered item pair not yet paired, and records the row [E] - [X] - [Z].
+    The middle terms along xi and c*xi (c != 0) are isomorphic, so the
+    lines give every row.  Projectives pair with nothing: Ext^1(G, P) = 0
+    for GP G, and extensions of a projective split.  The rounds repeat
+    until nothing new appears; projective summands are discarded.  Each
+    round counts against iter_cap, and hitting a cap demotes the verdict
+    to Unknown.  Ext^1 spaces too large to list are sampled from `seed`,
+    with a note.
     """
     if a.field.char == 0:
         raise FieldUnsupported("GP catalog search requires a finite prime field")
@@ -227,53 +245,82 @@ def gp_catalog(
             f"Gorenstein dimension not certified within bound {report.bound}; "
             f"seeding with syzygy depth {depth}"
         )
-    registry = CanonicalRegistry()
     items = []
     certificates = []
     frontier = []
+    rows = []  # {item index: coefficient}, in the order items were found
     unknown = False
 
     def consider(mod):
-        # decompose, discard projectives, certify; returns newly found items
+        # decompose, discard projectives, certify new items; returns the
+        # multiplicity of each item in mod
         nonlocal unknown
-        for part, _mult in decompose(mod):
+        mults = {}
+        for part, mult in decompose(mod):
             if part.is_zero or is_projective(part):
                 continue
             if part.total_dim > dim_cap:
                 unknown = True
                 notes.append(f"dimension cap {dim_cap} hit by a summand of dimension {part.total_dim}")
                 continue
-            idx = registry.classify(part)
-            if idx < len(items):
-                continue
-            canonical = registry.reps[idx]
-            cert = certify_gp(canonical)
-            if cert.is_gp:
-                items.append(canonical)
+            idx = next((i for i, item in enumerate(items) if is_isomorphic(item, part)[0]), None)
+            if idx is None:
+                cert = certify_gp(part)
+                if not cert.is_gp:
+                    unknown = True
+                    notes.append(
+                        f"summand of dims {part.dim_vector} not certified GP "
+                        f"({cert.status}); discarded"
+                    )
+                    continue
+                idx = len(items)
+                items.append(part)
                 certificates.append(cert)
-                frontier.append(canonical)
-            else:
-                unknown = True
-                notes.append(
-                    f"summand of dims {canonical.dim_vector} not certified GP "
-                    f"({cert.status}); discarded"
-                )
-                # keep registry and items aligned: drop the uncertified class
-                registry.reps.pop(idx)
+                frontier.append(part)
+            mults[idx] = mults.get(idx, 0) + mult
+        return mults
+
+    def extend(iz, ix):
+        z, x = items[iz], items[ix]
+        classes, enclosing = ext1_class_reps(z, x)
+        if not classes:
+            return
+        combos, exhaustive = coeff_vectors(
+            a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
+        )
+        if not exhaustive:
+            notes.append(
+                f"ext classes sampled (dimension {len(classes)}) for a pair of "
+                f"dims {z.dim_vector} -> {x.dim_vector}"
+            )
+        ext = HomSpace(classes[0].domain, classes[0].codomain, tuple(classes))
+        for coeffs in combos:
+            row = consider(middle_term(z, x, ext.element(coeffs), enclosing)[0])
+            for end in (ix, iz):
+                row[end] = row.get(end, 0) - 1
+            rows.append(row)
 
     for v in a.quiver.vertices:
         s = simple(a, v)
-        seed = syzygy(s, depth) if depth else s
-        consider(seed)
+        consider(syzygy(s, depth) if depth else s)
     rounds = 0
-    while frontier and rounds < iter_cap:
+    paired = 0  # every ordered pair among items[:paired] is extended
+    while (frontier or paired < len(items)) and rounds < iter_cap:
         rounds += 1
-        batch, frontier[:] = frontier[:], []
-        for g in batch:
-            consider(syzygy(g))
-            cos = co_syzygy(g)
-            consider(cos)
-    if frontier:
+        if frontier:
+            batch, frontier[:] = frontier[:], []
+            for g in batch:
+                consider(syzygy(g))
+                cos = co_syzygy(g)
+                consider(cos)
+        else:
+            n = len(items)
+            for iz in range(n):
+                for ix in range(n):
+                    if max(iz, ix) >= paired:
+                        extend(iz, ix)
+            paired = n
+    if frontier or paired < len(items):
         unknown = True
         notes.append(f"iteration cap {iter_cap} hit with catalog still growing")
     if unknown:
@@ -293,4 +340,5 @@ def gp_catalog(
         report=report,
         certificates=[certificates[i] for i in order],
         notes=notes,
+        relations=[tuple(row.get(i, 0) for i in order) for row in rows],
     )

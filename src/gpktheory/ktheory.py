@@ -1,14 +1,14 @@
 """K-groups of the Gorenstein projective layer.
 
-K0 is presented by the catalog's indecomposable non-projective classes with
-one relation row [Y] - [X] - [Z] per harvested short exact sequence of GP
-modules (projective classes are zero), reduced by Smith normal form.  The
-extensions along xi and c*xi (c != 0) have isomorphic middle terms, so an
-exhaustive harvest takes one class per line of each Ext^1 space.  K1 is
-computed from the stable endomorphism algebra of the catalog sum: for a
-commutative stable End, K1 equals its unit group, and Whitehead reduction of
-invertible matrices over a commutative local ring certifies the GL/E
-collapse to units.
+K0 is presented by the catalog's indecomposable non-projective classes
+(projective classes are zero) modulo the rows [E] - [X] - [Z] that
+gorenstein.gp_catalog records for the extensions it builds while closing
+the catalog, reduced by Smith normal form.  Split sequences give zero rows
+and every extension with a projective end splits, so these rows are all
+the relations.  K1 is computed from the stable endomorphism algebra of the
+catalog sum: for a commutative stable End, K1 equals its unit group, and
+Whitehead reduction of invertible matrices over a commutative local ring
+certifies the GL/E collapse to units.
 
 FiniteCommutativeRing is the shared exactla.StructureAlgebra with a
 commutativity certificate; a ring taken from a stable End reuses the unit
@@ -32,26 +32,12 @@ from .exactla import (
     FieldSpec,
     MatZ,
     StructureAlgebra,
-    coeff_vectors,
     group_from_presentation,
 )
-from .gorenstein import GPCatalog, certify_gp
+from .gorenstein import GPCatalog
 from .presentation import FiniteDimAlgebra
-from .rep import (
-    HomSpace,
-    Representation,
-    decompose,
-    direct_sum,
-    ext1_class_reps,
-    is_isomorphic,
-    is_projective,
-    middle_term,
-    projective,
-    zero_morphism,
-)
+from .rep import direct_sum
 from .stable import StableEndAlgebra, stable_end_algebra
-
-RANDOM_CLASSES = 128
 
 
 class CatalogUnknown(Exception):
@@ -71,87 +57,26 @@ class UnsupportedRing(Exception):
 
 
 # ---------------------------------------------------------------------------
-# K0: relation harvesting
+# K0
 
 
 @dataclass
 class K0Input:
     catalog: GPCatalog
     generators: tuple  # labels, one per catalog item
-    matrix: MatZ  # rows = harvested relations [Y] - [X] - [Z]
-    warnings: tuple
+    matrix: MatZ  # rows = the catalog's relations [E] - [X] - [Z]
 
 
-def _match_item(part: Representation, items) -> int:
-    for i, item in enumerate(items):
-        ok, _ = is_isomorphic(part, item)
-        if ok:
-            return i
-    raise RuntimeError(
-        f"middle-term summand of dims {part.dim_vector} is neither projective "
-        f"nor a catalog item; catalog closure violated"
-    )
-
-
-def _class_vector_row(a, items, x, z, e_rep):
-    """Relation row of [E] - [X] - [Z] in catalog coordinates."""
-    row = [0] * len(items)
-    for part, mult in decompose(e_rep):
-        if part.is_zero or is_projective(part):
-            continue
-        if not certify_gp(part).is_gp:
-            raise CertificateError("middle-term summand not GP")
-        row[_match_item(part, items)] += mult
-    for end in (x, z):
-        if not is_projective(end):
-            row[_match_item(end, items)] -= 1
-    return row
-
-
-def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0) -> K0Input:
-    """Harvest split and extension relations among catalog items and projectives."""
+def build_k0_input(a: FiniteDimAlgebra, catalog: GPCatalog) -> K0Input:
+    """The K0 presentation: catalog items modulo the catalog's relations."""
     if catalog.verdict == "Unknown":
         raise CatalogUnknown("catalog verdict is Unknown")
-    items = list(catalog.items)
-    labels = tuple(f"G{i}" for i in range(len(items)))
-    projs = [projective(a, v) for v in a.quiver.vertices]
-    ends = items + projs
-    rows = []
-    warnings = []
-    for z in ends:
-        for x in ends:
-            # split sequence: middle is the direct sum (a sanity row)
-            split_mid = direct_sum([x, z])[0]
-            rows.append(_class_vector_row(a, items, x, z, split_mid))
-            if any(rows[-1]):
-                raise CertificateError("split sequence gave a nonzero row")
-            if is_projective(z):
-                continue  # extensions out of a projective all split
-            classes, enclosing = ext1_class_reps(z, x)
-            if not classes:
-                continue
-            # the middle terms along xi and c*xi (c != 0) are isomorphic,
-            # so one class per line gives every distinct row
-            combos, exhaustive = coeff_vectors(
-                a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
-            )
-            if not exhaustive:
-                warnings.append(
-                    f"ext classes sampled (dimension {len(classes)}) for a pair of "
-                    f"dims {z.dim_vector} -> {x.dim_vector}"
-                )
-            ext = HomSpace(classes[0].domain, classes[0].codomain, tuple(classes))
-            for coeffs in combos:
-                e_rep, _, _ = middle_term(z, x, ext.element(coeffs), enclosing)
-                rows.append(_class_vector_row(a, items, x, z, e_rep))
-    matrix = MatZ.make(rows) if rows else MatZ.make([])
-    return K0Input(catalog, labels, matrix, tuple(warnings))
+    labels = tuple(f"G{i}" for i in range(len(catalog.items)))
+    return K0Input(catalog, labels, MatZ.make(catalog.relations))
 
 
-def k0_gorenstein(
-    a: FiniteDimAlgebra, catalog: GPCatalog, seed: int = 0
-) -> AbelianGroupDescription:
-    data = build_k0_input(a, catalog, seed)
+def k0_gorenstein(a: FiniteDimAlgebra, catalog: GPCatalog) -> AbelianGroupDescription:
+    data = build_k0_input(a, catalog)
     return group_from_presentation(data.generators, data.matrix.rows)
 
 

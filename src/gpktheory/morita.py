@@ -839,10 +839,10 @@ def side_invariants(
     a: FiniteDimAlgebra, dim_cap: int = None, iter_cap: int = 32, seed: int = 0
 ) -> SideInvariants:
     """GP catalog of a and, when it is settled, K0 and K1 of its stable category."""
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap)
+    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
     if cat.verdict == "Unknown":
         return SideInvariants(a, cat, None, None)
-    return SideInvariants(a, cat, k0_gorenstein(a, cat, seed=seed), k1_gorenstein(a, cat))
+    return SideInvariants(a, cat, k0_gorenstein(a, cat), k1_gorenstein(a, cat))
 
 
 def compare_sides(first: SideInvariants, second: SideInvariants) -> InvariantComparison:

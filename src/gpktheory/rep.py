@@ -1180,19 +1180,3 @@ def _first_idempotent(ends: HomSpace, candidates: np.ndarray):
 def _morph_eq(a: Morphism, b: Morphism) -> bool:
     f = a.domain.field
     return all(_eq(f, a.blocks[v], b.blocks[v]) for v in a.blocks)
-
-
-class CanonicalRegistry:
-    """First-seen canonical representatives of isomorphism classes."""
-
-    def __init__(self, seed: int = 0):
-        self.reps = []
-        self.seed = seed
-
-    def classify(self, m: Representation) -> int:
-        for i, r in enumerate(self.reps):
-            ok, _ = is_isomorphic(r, m, self.seed)
-            if ok:
-                return i
-        self.reps.append(m)
-        return len(self.reps) - 1

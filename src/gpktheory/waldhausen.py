@@ -13,8 +13,9 @@ them all in one stacked row reduction per vertex; it finds the same
 cofibrations and notes as a search over every map.  Weak equivalence
 classes are projective-stripped summand multisets.  Failed certificates
 raise exactla.CertificateError, so they also run under `python -O`.  All of
-this is independent of the relation-harvesting route in the ktheory module;
-agreement of the two groups is the repository's central cross-check.
+this is independent of the relation rows that gorenstein.gp_catalog records
+for the ktheory module; agreement of the two groups is the repository's
+central cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -139,7 +140,7 @@ def _classify_by_decomposition(data: FiniteWaldhausenData, rep: Representation):
         else:
             verdict = certify_gp(part)
             if verdict.is_gp:
-                raise RuntimeError(
+                raise CertificateError(
                     "GP summand missing from the catalog; closure violated"
                 )
             return None

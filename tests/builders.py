@@ -66,6 +66,12 @@ def loop_square_zero(field=GF2):
     return build_algebra(q, rels, field)
 
 
+def truncated_polynomials(field=GF2, n=3):
+    """k[x]/(x^n)."""
+    q = Quiver.make(["1"], [("x", "1", "1")])
+    return build_algebra(q, [RelationElem.from_written(q, [(1, ["x"] * n)])], field)
+
+
 def semisimple_two(field=GF2):
     """Two vertices, no arrows."""
     q = Quiver.make(["1", "2"], [])
@@ -134,6 +140,66 @@ def every_coeff_vector(f, n, **_):
     nonzero vector, not one per line.  The reference for the searches that
     take one vector per line."""
     return [v for v in all_coeff_vectors(f.char, n) if any(v)], True
+
+
+def reference_k0_harvest(a, catalog):
+    """The K0 relation harvest as it ran apart from the catalog, kept as a
+    reference for the rows gp_catalog records.
+
+    Ends are the catalog items and the indecomposable projectives.  Every
+    ordered pair (Z, X) of ends gives a split row [X + Z] - [X] - [Z], and,
+    when Z is not projective, one row [E] - [X] - [Z] per line of
+    Ext^1(Z, X).  Rows are in catalog item coordinates.  Returns (split
+    rows, extension rows, number of Ext^1 classes from an item to a
+    projective).
+    """
+    from gpktheory.exactla import coeff_vectors
+    from gpktheory.rep import (
+        HomSpace,
+        decompose,
+        direct_sum,
+        ext1_class_reps,
+        is_isomorphic,
+        is_projective,
+        middle_term,
+        projective,
+    )
+
+    items = list(catalog.items)
+
+    def row_of(x, z, e):
+        row = [0] * len(items)
+        for part, mult in decompose(e):
+            if not (part.is_zero or is_projective(part)):
+                row[_match(part)] += mult
+        for end in (x, z):
+            if not is_projective(end):
+                row[_match(end)] -= 1
+        return tuple(row)
+
+    def _match(part):
+        for i, item in enumerate(items):
+            if is_isomorphic(part, item)[0]:
+                return i
+        raise AssertionError(f"summand of dims {part.dim_vector} is not a catalog item")
+
+    ends = items + [projective(a, v) for v in a.quiver.vertices]
+    split, extension, item_to_projective = [], [], 0
+    for z in ends:
+        for x in ends:
+            split.append(row_of(x, z, direct_sum([x, z])[0]))
+            if is_projective(z):
+                continue
+            classes, enclosing = ext1_class_reps(z, x)
+            if is_projective(x):
+                item_to_projective += len(classes)
+            if not classes:
+                continue
+            ext = HomSpace(classes[0].domain, classes[0].codomain, tuple(classes))
+            for coeffs in coeff_vectors(a.field, len(classes), tries=128)[0]:
+                e = middle_term(z, x, ext.element(coeffs), enclosing)[0]
+                extension.append(row_of(x, z, e))
+    return split, extension, item_to_projective
 
 
 # shared expensive builds, memoized for the whole pytest run ----------------

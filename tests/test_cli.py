@@ -317,14 +317,12 @@ def test_field_above_exact_range_exits_one():
 
 
 @pytest.mark.parametrize(
-    "power,kind",
-    [(4, "RuntimeError"), (3, "NoncommutativeStableEnd")],
-    ids=["catalog-closure", "noncommutative-stable-end"],
+    "power", [4, 3], ids=["closed-catalog-noncommutative-stable-end", "noncommutative-stable-end"]
 )
-def test_internal_error_exits_one_with_one_line(power, kind):
-    """k[x]/(x^4) breaks the catalog closure and k[x]/(x^3) has a
-    noncommutative stable End over GF(3): both are faults of the package,
-    reported as one line with exit 1 and no traceback."""
+def test_internal_error_exits_one_with_one_line(power):
+    """k[x]/(x^4) and k[x]/(x^3) have a noncommutative stable End over
+    GF(3), outside what K1 computes: a fault of the package, reported as
+    one line with exit 1 and no traceback."""
     path = tmp_file(
         "algebra kx over GF(3)\nvertices 1\narrow x : 1 -> 1\n"
         f"relation {'*'.join(['x'] * power)} = 0\n"
@@ -339,9 +337,21 @@ def test_internal_error_exits_one_with_one_line(power, kind):
     os.unlink(path)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: internal {kind}: ")
+    assert proc.stderr.startswith("error: internal NoncommutativeStableEnd: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_k0_of_a_catalog_closed_under_extensions():
+    # k[x]/(x^4): the catalog holds k[x]/(x^i) for i = 1, 2, 3, and K0 = Z/4
+    path = tmp_file(
+        "algebra kx over GF(3)\nvertices 1\narrow x : 1 -> 1\nrelation x*x*x*x = 0\n"
+    )
+    code, j = run_json(["k0", path])
+    os.unlink(path)
+    assert code == 0
+    assert (j["k0"]["free_rank"], j["k0"]["invariant_factors"]) == (0, [4])
+    assert j["warnings"] == []
 
 
 def test_json_output_is_byte_reproducible():

@@ -1,8 +1,13 @@
 """Dimension reports, GP certificates, and the catalog search."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
-from gpktheory.exactla import FieldSpec
+from gpktheory import cli, exactla
+from gpktheory.exactla import FieldSpec, group_from_presentation
 from gpktheory.gorenstein import (
     AtLeast,
     certify_gp,
@@ -11,6 +16,7 @@ from gpktheory.gorenstein import (
     gp_catalog,
     is_gp,
 )
+from gpktheory.ktheory import k0_gorenstein
 from gpktheory.rep import (
     FieldUnsupported,
     cyclic_module,
@@ -27,9 +33,12 @@ from builders import (
     alg62a,
     alg62b,
     loop_square_zero,
+    nakayama,
     semisimple_two,
+    truncated_polynomials,
 )
 
+GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
@@ -184,3 +193,84 @@ def test_dim_cap_forces_unknown():
     cat = gp_catalog(a, dim_cap=1)
     assert cat.verdict == "Unknown"
     assert any("cap" in n for n in cat.notes)
+
+
+# ---------------------------------------------------------------------------
+# closure under extensions
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_catalog_truncated_polynomials_closes_under_extensions(n, p):
+    """k[x]/(x^n) is self-injective with the n - 1 non-projective
+    indecomposables k[x]/(x^i), 0 < i < n; syzygies alone reach only
+    k[x]/(x) and k[x]/(x^(n-1)), the extensions reach the rest.  K0 of the
+    stable category is Z/n."""
+    a = truncated_polynomials(FieldSpec(p), n)
+    cat = gp_catalog(a)
+    assert cat.verdict == "CMFinite"
+    assert [item.total_dim for item in cat.items] == list(range(1, n))
+    g = k0_gorenstein(a, cat)
+    assert (g.free_rank, g.invariant_factors) == (0, (n,))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("length,expected", [(3, (0, (3,))), (4, (1, (2,)))])
+def test_catalog_nakayama_closes_under_extensions(p, length, expected):
+    """Self-injective Nakayama(2, L) has n(L - 1) non-projective
+    indecomposables, all GP; K0 of the stable category is the cokernel of
+    the Cartan matrix."""
+    a = nakayama(FieldSpec(p), 2, length)
+    cat = gp_catalog(a)
+    assert cat.verdict == "CMFinite"
+    assert len(cat.items) == 2 * (length - 1)
+    cartan = [projective(a, v).dim_vector for v in a.quiver.vertices]
+    coker = group_from_presentation(a.quiver.vertices, cartan)
+    g = k0_gorenstein(a, cat)
+    assert (g.free_rank, g.invariant_factors) == expected
+    assert g.same_group(coker)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: truncated_polynomials(GF3, 4), lambda: nakayama(GF2, 2, 4), lambda: alg61a(GF3)],
+    ids=["k[x]/(x^4)/GF(3)", "nakayama(2,4)/GF(2)", "61A/GF(3)"],
+)
+def test_catalog_seed_leaves_items_and_relations(make):
+    first, second = gp_catalog(make(), seed=0), gp_catalog(make(), seed=99)
+    assert [item.key() for item in first.items] == [item.key() for item in second.items]
+    assert set(first.relations) == set(second.relations)
+    assert first.verdict == second.verdict == "CMFinite"
+
+
+def test_iteration_cap_counts_extension_rounds():
+    """k[x]/(x^4), seeded with k: round 1 finds k[x]/(x^3) by syzygy, round 2
+    finds nothing new, round 3 extends the two items and finds k[x]/(x^2),
+    round 4 takes its syzygies and round 5 its extensions, which close the
+    catalog."""
+    a = truncated_polynomials(GF3, 4)
+    for cap, items in ((2, 2), (4, 3)):
+        cat = gp_catalog(a, iter_cap=cap)
+        assert (cat.verdict, len(cat.items)) == ("Unknown", items)
+        assert f"iteration cap {cap} hit with catalog still growing" in cat.notes
+    cat = gp_catalog(a, iter_cap=5)
+    assert (cat.verdict, len(cat.items), cat.notes) == ("CMFinite", 3, [])
+
+
+def test_sampled_ext_classes_are_noted(monkeypatch):
+    """When Ext^1 is too large to list its classes are sampled, and the
+    catalog says so in its notes, which `--json` reports as warnings."""
+    a = alg61a(GF5)
+    exhaustive = gp_catalog(a)
+    b = alg61a(GF5)
+    monkeypatch.setattr(exactla, "EXHAUSTIVE_CAP", 1)
+    sampled = gp_catalog(b)
+    note = "ext classes sampled (dimension 1) for a pair of dims (1, 1) -> (1, 1)"
+    assert note in sampled.notes and note not in exhaustive.notes
+    assert [item.key() for item in sampled.items] == [item.key() for item in exhaustive.items]
+    assert sampled.verdict == exhaustive.verdict == "CMFinite"
+    assert k0_gorenstein(b, sampled) == k0_gorenstein(a, exhaustive)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", "example61A.alg", "--json"]) == 0
+    assert note in json.loads(out.getvalue())["warnings"]

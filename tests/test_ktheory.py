@@ -10,12 +10,11 @@ from random import Random
 import numpy as np
 import pytest
 
-from gpktheory import ktheory
+from gpktheory import gorenstein
 from gpktheory.exactla import (
     AbelianGroupDescription,
     CertificateError,
     FieldSpec,
-    group_from_presentation,
 )
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import (
@@ -30,7 +29,6 @@ from gpktheory.ktheory import (
     unit_group,
     whitehead_reduce,
 )
-from gpktheory.presentation import Quiver, RelationElem, build_algebra
 
 from builders import (
     alg61a,
@@ -40,7 +38,9 @@ from builders import (
     every_coeff_vector,
     loop_square_zero,
     nakayama,
+    reference_k0_harvest,
     semisimple_two,
+    truncated_polynomials,
 )
 
 GF2 = FieldSpec(2)
@@ -63,24 +63,17 @@ def test_k0_two_cycle_catalog_presentation():
     cat = gp_catalog(a)
     data = build_k0_input(a, cat)
     assert data.generators == ("G0",)
-    assert data.warnings == ()
-    nonzero = [r for r in data.matrix.rows if any(r)]
-    assert nonzero and all(r == (-2,) for r in nonzero)
-    assert len(nonzero) == 1  # one class per line of a 1-dim ext space
+    assert cat.notes == []
+    # one class per line of a 1-dim ext space, and no split rows
+    assert data.matrix.rows == tuple(cat.relations) == ((-2,),)
     g = k0_gorenstein(a, cat)
     assert g.invariant_factors == (2,) and g.free_rank == 0
-
-
-def _truncated_polynomials(field, n):
-    """k[x]/(x^n)."""
-    q = Quiver.make(["1"], [("x", "1", "1")])
-    return build_algebra(q, [RelationElem.from_written(q, [(1, ["x"] * n)])], field)
 
 
 K0_HARVEST_CASES = [
     pytest.param(lambda: loop_square_zero(GF2), id="kx2/GF(2)"),
     *[
-        pytest.param(lambda f=f: _truncated_polynomials(f, 3), id=f"k[x]/(x^3)/{f.label}")
+        pytest.param(lambda f=f: truncated_polynomials(f, 3), id=f"k[x]/(x^3)/{f.label}")
         for f in (GF2, GF3, GF5)
     ],
     pytest.param(lambda: alg61a(GF5), id="61A/GF(5)"),
@@ -92,18 +85,30 @@ K0_HARVEST_CASES = [
 
 @pytest.mark.parametrize("make", K0_HARVEST_CASES)
 def test_k0_harvest_by_lines_matches_every_class(monkeypatch, make):
-    """One extension class per line gives the rows and the group that the
-    enumeration of every nonzero class gave."""
+    """One extension class per line gives the items, rows and group that
+    the enumeration of every nonzero class gives."""
     a = make()
     cat = gp_catalog(a)
-    data = build_k0_input(a, cat)
     with monkeypatch.context() as mp:
-        mp.setattr(ktheory, "coeff_vectors", every_coeff_vector)
-        ref = build_k0_input(a, cat)
-    assert set(data.matrix.rows) == set(ref.matrix.rows)
-    assert (data.generators, data.warnings) == (ref.generators, ref.warnings)
-    group = group_from_presentation(data.generators, data.matrix.rows)
-    assert group == group_from_presentation(ref.generators, ref.matrix.rows)
+        mp.setattr(gorenstein, "coeff_vectors", every_coeff_vector)
+        ref = gp_catalog(a)
+    assert [item.key() for item in cat.items] == [item.key() for item in ref.items]
+    assert set(cat.relations) == set(ref.relations)
+    assert (cat.verdict, cat.notes) == (ref.verdict, ref.notes)
+    assert k0_gorenstein(a, cat) == k0_gorenstein(a, ref)
+
+
+@pytest.mark.parametrize("make", K0_HARVEST_CASES)
+def test_catalog_relations_match_reference_harvest(make):
+    """The separate harvest over catalog items and projectives found only
+    zero split rows, no extension from an item to a projective, and the
+    extension rows the catalog records."""
+    a = make()
+    cat = gp_catalog(a)
+    split, extension, item_to_projective = reference_k0_harvest(a, cat)
+    assert not any(any(r) for r in split)
+    assert item_to_projective == 0
+    assert set(extension) == set(cat.relations)
 
 
 def test_k0_loop_algebra_matches_two_cycle():
@@ -134,11 +139,10 @@ def test_k0_rejects_unknown_catalog():
 
 
 def test_k0_order_invariance():
-    # same group regardless of harvest seed
+    # same group regardless of the catalog's seed
     a = alg61a(GF3)
-    cat = gp_catalog(a)
-    g1 = k0_gorenstein(a, cat, seed=0)
-    g2 = k0_gorenstein(a, cat, seed=99)
+    g1 = k0_gorenstein(a, gp_catalog(a, seed=0))
+    g2 = k0_gorenstein(a, gp_catalog(a, seed=99))
     assert g1.same_group(g2)
 
 
@@ -499,9 +503,9 @@ def test_frobenius_needs_a_finite_field():
 
 
 def test_ktheory_tests_pass_under_python_O():
-    """The certificates of ktheory, stable, rep, presentation and exactla
-    (with the shared algebra) raise rather than assert, so their tests also
-    pass with asserts stripped."""
+    """The certificates of ktheory, gorenstein, stable, rep, presentation and
+    exactla (with the shared algebra) raise rather than assert, so their
+    tests also pass with asserts stripped."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -509,7 +513,8 @@ def test_ktheory_tests_pass_under_python_O():
     files = [
         str(here / name)
         for name in ("test_ktheory.py", "test_stable.py", "test_radical.py", "test_rep.py",
-                     "test_decompose_fast.py", "test_exactla.py", "test_presentation.py")
+                     "test_decompose_fast.py", "test_exactla.py", "test_presentation.py",
+                     "test_gorenstein.py")
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from gpktheory import ktheory, rep
+from gpktheory import gorenstein, rep
 from gpktheory.exactla import FieldSpec
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import build_k0_input
@@ -20,7 +20,6 @@ from gpktheory.rep import (
     direct_sum,
     ext1_class_reps,
     is_isomorphic,
-    is_projective,
     projective,
     simple,
 )
@@ -134,26 +133,24 @@ def test_mutating_a_returned_list_leaves_the_memo_intact():
 @pytest.mark.parametrize("make", [lambda: alg61a(FieldSpec(3)), lambda: alg62b(FieldSpec(3))])
 def test_k0_harvest_evaluates_every_row(monkeypatch, make):
     """The memo shortens each row's work but every row is still evaluated:
-    one per ordered pair of ends plus one per extension class (one class
-    per line, all exhaustive here)."""
+    one middle term per ordered pair of catalog items and line of their
+    Ext^1 (all exhaustive here)."""
     a = make()
-    cat = gp_catalog(a)
-    ends = list(cat.items) + [projective(a, v) for v in a.quiver.vertices]
+    items = gp_catalog(a).items
     p = a.field.char
-    expected = len(ends) ** 2
-    for z in ends:
-        if is_projective(z):
-            continue
-        for x in ends:
+    expected = 0
+    for z in items:
+        for x in items:
             d = len(ext1_class_reps(z, x)[0])
             expected += (p**d - 1) // (p - 1)
     calls = []
-    inner = ktheory._class_vector_row
+    inner = gorenstein.middle_term
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(ktheory, "_class_vector_row", counted)
+    monkeypatch.setattr(gorenstein, "middle_term", counted)
+    cat = gp_catalog(a)
     data = build_k0_input(a, cat)
     assert len(calls) == expected == len(data.matrix.rows)

@@ -1,6 +1,7 @@
 """Waldhausen-style brute-force K0 oracle: object/cofibration enumeration,
-agreement with the relation-harvesting route, gluing, and face identities."""
+agreement with the catalog's relation rows, gluing, and face identities."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -214,6 +215,15 @@ def test_unknown_catalog_rejected():
         pass
     else:
         raise AssertionError("Unknown catalog must be rejected")
+
+
+def test_summand_missing_from_the_catalog_is_a_certificate_error():
+    # a GP summand outside the catalog means the catalog is not closed
+    a = loop_square_zero(GF2)
+    cat = gp_catalog(a)
+    data = build_wdata(replace(cat, items=[], certificates=[], relations=[]), depth=1)
+    with pytest.raises(CertificateError, match="missing from the catalog"):
+        data.class_of(cat.items[0])
 
 
 def test_notes_report_bounds():
