@@ -150,7 +150,7 @@ class FieldSpec:
 
     def array(self, rows) -> np.ndarray:
         if self.char:
-            a = np.array(rows, dtype=np.int64)
+            a = np.asarray(rows, dtype=np.int64)  # `%` below makes the copy
             if a.ndim == 1:
                 a = a.reshape(1, -1) if a.size else a.reshape(1, 0)
             return a % self.char

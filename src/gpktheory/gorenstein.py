@@ -229,7 +229,8 @@ def gp_catalog(
     until nothing new appears; projective summands are discarded.  Each
     round counts against iter_cap, and hitting a cap demotes the verdict
     to Unknown.  Ext^1 spaces too large to list are sampled from `seed`,
-    with a note.
+    with a note, and the verdict is then Unknown too: the catalog may miss
+    a summand of an unsampled class.
     """
     if a.field.char == 0:
         raise FieldUnsupported("GP catalog search requires a finite prime field")
@@ -281,6 +282,7 @@ def gp_catalog(
         return mults
 
     def extend(iz, ix):
+        nonlocal unknown
         z, x = items[iz], items[ix]
         classes, enclosing = ext1_class_reps(z, x)
         if not classes:
@@ -289,6 +291,8 @@ def gp_catalog(
             a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
         )
         if not exhaustive:
+            # an unsampled class could have a middle term with a new summand
+            unknown = True
             notes.append(
                 f"ext classes sampled (dimension {len(classes)}) for a pair of "
                 f"dims {z.dim_vector} -> {x.dim_vector}"

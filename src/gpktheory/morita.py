@@ -228,7 +228,6 @@ class Bimodule:
 def regular_bimodule(a: FiniteDimAlgebra) -> Bimodule:
     """The algebra itself as a bimodule over (a, a)."""
     t = tensor_algebra(a, a)
-    f = a.field
     idx = {}
     for i, p in enumerate(a.basis):
         idx.setdefault((p.target, p.source), []).append(i)
@@ -237,27 +236,20 @@ def regular_bimodule(a: FiniteDimAlgebra) -> Bimodule:
         for v in a.quiver.vertices:
             dims[_tv(u, v)] = len(idx.get((u, v), []))
     maps = {}
+    # the algebra's grading certificate keeps each product inside its block
     for beta in a.quiver.arrows:
         bi = a.arrow_index[beta.label]
         for v in a.quiver.vertices:
             src = idx.get((beta.source, v), [])
             tgt = idx.get((beta.target, v), [])
-            mat = f.zeros((len(tgt), len(src)))
-            for col, i in enumerate(src):
-                for k, c in a.mult_basis(bi, i):
-                    mat[tgt.index(k), col] = f.canon(mat[tgt.index(k), col] + c)
-            maps[_lname(beta.label, v)] = mat
+            maps[_lname(beta.label, v)] = a.structure[bi, src][:, tgt].T
     op = opposite(a)
     for u in a.quiver.vertices:
         for al in op.quiver.arrows:
             ai = a.arrow_index[al.label]
             src = idx.get((u, al.source), [])
             tgt = idx.get((u, al.target), [])
-            mat = f.zeros((len(tgt), len(src)))
-            for col, i in enumerate(src):
-                for k, c in a.mult_basis(i, ai):
-                    mat[tgt.index(k), col] = f.canon(mat[tgt.index(k), col] + c)
-            maps[_rname(u, al.label)] = mat
+            maps[_rname(u, al.label)] = a.structure[src, ai][:, tgt].T
     return Bimodule(a, a, Representation(t, dims, maps, check=True))
 
 

@@ -4,14 +4,19 @@ Composition is written right to left: the product ``b*a`` means "apply a,
 then b", so a path stores its arrow labels in application order (first
 applied first) and displays them reversed with ``*`` separators.  For an
 arrow a: u -> w the product a*x is nonzero only when x ends at u.
+
+A bound path algebra is a StructureAlgebra on its path basis: one dense
+(e, e, e) table of structure constants, read by slicing, with a certificate
+that checks associativity on every basis triple at every dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
-from .exactla import CertificateError, FieldSpec
+import numpy as np
+
+from .exactla import CertificateError, FieldSpec, StructureAlgebra
 
 
 class NotAdmissibleWithinBound(Exception):
@@ -162,26 +167,25 @@ def enumerate_paths(q: Quiver, max_len: int):
     return out
 
 
-class FiniteDimAlgebra:
+class FiniteDimAlgebra(StructureAlgebra):
     """A quotient of a path algebra by an admissible ideal, with a path basis.
 
     basis holds the surviving paths in ascending (length, source, labels)
-    order; products are a dense table of sparse vectors.  loewy_length is
-    the witnessed nilpotency degree N: every path of length >= N is zero.
+    order, and structure[i, j] holds the coordinates of b_i b_j (b_j acts
+    first), as in every StructureAlgebra; the unit is the sum of the trivial
+    paths.  loewy_length is the witnessed nilpotency degree N: every path of
+    length >= N is zero.  Construction runs certify().
     """
 
-    def __init__(self, field, quiver, basis, mult, relations, nilpotency,
-                 is_monomial, max_len, check=True):
-        self.field = field
+    def __init__(self, field, quiver, basis, structure, relations, nilpotency,
+                 is_monomial, max_len):
         self.quiver = quiver
         self.basis = tuple(basis)
-        self.dim = len(self.basis)
         self.relations = tuple(relations)
         self.loewy_length = nilpotency
         self.is_monomial = is_monomial
         self.max_len = max_len
         self.index = {p: i for i, p in enumerate(self.basis)}
-        self._mult = mult
         self.e_index = {}
         self.arrow_index = {}
         for i, p in enumerate(self.basis):
@@ -189,10 +193,12 @@ class FiniteDimAlgebra:
                 self.e_index[p.source] = i
             elif p.length == 1:
                 self.arrow_index[p.arrows[0]] = i
+        unit = field.zeros((len(self.basis),))
+        unit[list(self.e_index.values())] = field.canon(1)
+        StructureAlgebra.__init__(self, field, structure, unit)
         self._op = None
         self._caches = {}
-        if check:
-            self._verify()
+        self.certify()
 
     # ------------------------------------------------------------------
     def target_of(self, i: int) -> str:
@@ -201,33 +207,17 @@ class FiniteDimAlgebra:
     def paths_with_source(self, v: str):
         return [i for i, p in enumerate(self.basis) if p.source == v]
 
-    def mult_basis(self, i: int, j: int):
-        """Sparse product basis[i] * basis[j] (j acts first)."""
-        return self._mult[i][j]
-
-    def mult_sparse(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                c = ci * cj
-                for k, ck in self._mult[i][j]:
-                    out[k] = out.get(k, 0) + c * ck
-        return {k: self.field.canon(v) for k, v in out.items() if self.field.canon(v) != 0}
-
-    def unit_sparse(self) -> dict:
-        return {self.e_index[v]: self.field.canon(1) for v in self.quiver.vertices}
-
-    def element_from_str(self, word: str) -> dict:
-        """Parse a written word like "b*a" or "e_1" into a sparse element."""
+    def element_from_str(self, word: str) -> np.ndarray:
+        """Parse a written word like "b*a" or "e_1" into a coordinate vector."""
         word = word.strip()
+        basis = self.field.eye(self.dim)
         if word.startswith("e_"):
-            return {self.e_index[word[2:]]: self.field.canon(1)}
-        labs = word.split("*")
-        p = path_from_written(self.quiver, labs)
+            return basis[self.e_index[word[2:]]]
+        p = path_from_written(self.quiver, word.split("*"))
         # multiply arrow by arrow so arbitrary words reduce through the table
-        x = {self.e_index[p.source]: self.field.canon(1)}
+        x = basis[self.e_index[p.source]]
         for lab in p.arrows:
-            x = self.mult_sparse({self.arrow_index[lab]: self.field.canon(1)}, x)
+            x = self.mult(basis[self.arrow_index[lab]], x)
         return x
 
     def memo(self, site: str, key, build):
@@ -251,41 +241,71 @@ class FiniteDimAlgebra:
         )
 
     # ------------------------------------------------------------------
-    def _verify(self):
-        for v in self.quiver.vertices:
-            if v not in self.e_index:
-                raise CertificateError(f"missing trivial path at {v}")
-        one = self.field.canon(1)
-        for v in self.quiver.vertices:
-            for w in self.quiver.vertices:
-                prod = self._mult[self.e_index[v]][self.e_index[w]]
-                if prod != (((self.e_index[v], one),) if v == w else ()):
-                    raise CertificateError(
-                        f"trivial paths at {v}, {w} are not orthogonal idempotents"
-                    )
-        unit = self.unit_sparse()
-        for i in range(self.dim):
-            if self.mult_sparse(unit, {i: one}) != {i: one}:
-                raise CertificateError(f"unit is not a left unit on basis element {i}")
-            if self.mult_sparse({i: one}, unit) != {i: one}:
-                raise CertificateError(f"unit is not a right unit on basis element {i}")
-        if self.dim <= 16:
-            triples = [
-                (i, j, k)
-                for i in range(self.dim)
-                for j in range(self.dim)
-                for k in range(self.dim)
-            ]
-        else:
-            rng = Random(0)
-            triples = [
-                tuple(rng.randrange(self.dim) for _ in range(3)) for _ in range(1000)
-            ]
-        for i, j, k in triples:
-            left = self.mult_sparse(self.mult_sparse({i: one}, {j: one}), {k: one})
-            right = self.mult_sparse({i: one}, self.mult_sparse({j: one}, {k: one}))
-            if left != right:
-                raise CertificateError(f"associativity fails at {(i, j, k)}")
+    def certify(self):
+        """Raise CertificateError unless the trivial paths are orthogonal
+        idempotents whose sum is a two-sided unit, every product stays
+        between the end vertices of its factors, and (b_i b_j) b_k =
+        b_i (b_j b_k) on every basis triple.
+
+        Associativity is read off the nonzero constants alone: each entry
+        (i, j, l) meets the entries (l, k, m) for the left side and each
+        entry (j, k, l) meets the entries (i, l, m) for the right side, so
+        the cost is about nnz^2 / e instead of the e^5 of the dense check.
+        """
+        f = self.field
+        t = self.structure
+        missing = [v for v in self.quiver.vertices if v not in self.e_index]
+        if missing:
+            raise CertificateError(f"missing trivial path at {missing[0]}")
+        ev = [self.e_index[v] for v in self.quiver.vertices]
+        idem = f.zeros((len(ev), len(ev), self.dim))
+        idem[range(len(ev)), range(len(ev)), ev] = f.canon(1)
+        bad = np.argwhere(t[np.ix_(ev, ev)] != idem)
+        if len(bad):
+            v, w = (self.quiver.vertices[n] for n in bad[0][:2])
+            raise CertificateError(f"trivial paths at {v}, {w} are not orthogonal idempotents")
+        eye = f.eye(self.dim)
+        for side, prods in (("left", t[ev].sum(axis=0)), ("right", t[:, ev].sum(axis=1))):
+            bad = np.argwhere((self._canon(prods) != eye).any(axis=1))
+            if len(bad):
+                raise CertificateError(f"unit is not a {side} unit on basis element {bad[0][0]}")
+        i, j, l = np.nonzero(t)
+        vert = self.quiver.vertex_index
+        src = np.array([vert(p.source) for p in self.basis], dtype=np.int64)
+        tgt = np.array([vert(p.target) for p in self.basis], dtype=np.int64)
+        if not ((src[i] == tgt[j]) & (src[l] == src[j]) & (tgt[l] == tgt[i])).all():
+            raise CertificateError("a product leaves the end vertices of its factors")
+        e = self.dim
+        c = t[i, j, l]
+        # left: (i, j, l) meets (l, k, m); right: (j, k, l) meets (i, l, m)
+        la, lb = _join(l, i)
+        ra, rb = _join(l, j)
+        keys, at = np.unique(
+            np.concatenate([
+                ((i[la] * e + j[la]) * e + j[lb]) * e + l[lb],
+                ((i[rb] * e + i[ra]) * e + j[ra]) * e + l[rb],
+            ]),
+            return_inverse=True,
+        )
+        total = f.zeros(len(keys))
+        np.add.at(total, at, np.concatenate([c[la] * c[lb], -(c[ra] * c[rb])]))
+        bad = np.flatnonzero(self._canon(total) != 0)
+        if len(bad):
+            key = int(keys[bad[0]])
+            raise CertificateError(
+                f"associativity fails at {(key // e**3, key // e**2 % e, key // e % e)}"
+            )
+        return self
+
+
+def _join(probe, keys):
+    """Index pairs (a, b), one for every probe[a] == keys[b]."""
+    order = np.argsort(keys, kind="stable")
+    lo = np.searchsorted(keys[order], probe, "left")
+    counts = np.searchsorted(keys[order], probe, "right") - lo
+    a = np.repeat(np.arange(len(probe)), counts)
+    b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(a))]
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -424,36 +444,33 @@ def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> 
     basis.sort(key=lambda p: _path_key(q, p))
     index = {p: i for i, p in enumerate(basis)}
 
-    def normal_form(p: Path):
-        if p.length >= nilpotency:
-            return ()
-        c = coord[p]
-        row = rows.get(c)
-        if row is None:
-            return ((index[p], one),)
-        out = []
-        for k, v in row.items():
-            if k == c:
-                continue
-            tail = desc[k]
-            if tail.length >= nilpotency:
-                raise CertificateError("pivot tail escapes the basis cut")
-            out.append((index[tail], field.canon(-v)))
-        out.sort()
-        return tuple(out)
-
-    mult = [[() for _ in range(len(basis))] for _ in range(len(basis))]
+    e = len(basis)
+    structure = field.zeros((e, e, e))
     for i, pi in enumerate(basis):
         for j, pj in enumerate(basis):
             # written b_i * b_j: pj first, then pi
             if pj.target != pi.source:
                 continue
             comp = Path(pj.source, pi.target, pj.arrows + pi.arrows)
-            mult[i][j] = normal_form(comp)
+            if comp.length >= nilpotency:
+                continue
+            c = coord[comp]
+            row = rows.get(c)
+            if row is None:
+                structure[i, j, index[comp]] = one
+                continue
+            # the normal form of a pivot path is minus its row's tail
+            for k, v in row.items():
+                if k == c:
+                    continue
+                tail = desc[k]
+                if tail.length >= nilpotency:
+                    raise CertificateError("pivot tail escapes the basis cut")
+                structure[i, j, index[tail]] = field.canon(-v)
 
     is_monomial = all(len(r.terms) == 1 for r in relations)
     return FiniteDimAlgebra(
-        field, q, basis, mult, relations, nilpotency, is_monomial, max_len
+        field, q, basis, structure, relations, nilpotency, is_monomial, max_len
     )
 
 
@@ -474,14 +491,13 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
         return a._op
     qop = a.quiver.reverse()
     basis = [_reverse_path(p) for p in a.basis]
-    n = a.dim
-    mult = [[a._mult[j][i] for j in range(n)] for i in range(n)]
+    structure = np.ascontiguousarray(a.structure.transpose(1, 0, 2))
     rel_op = [
         RelationElem(tuple((c, _reverse_path(p)) for c, p in r.terms))
         for r in a.relations
     ]
     op = FiniteDimAlgebra(
-        a.field, qop, basis, mult, rel_op, a.loewy_length, a.is_monomial, a.max_len
+        a.field, qop, basis, structure, rel_op, a.loewy_length, a.is_monomial, a.max_len
     )
     op._op = a
     a._op = op

@@ -9,6 +9,7 @@ canonical form so repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -256,27 +257,15 @@ def projective(a: FiniteDimAlgebra, v: str) -> Representation:
     """The indecomposable projective at v: paths out of v, arrows acting on the left."""
     idxs = a.paths_with_source(v)
     by_vertex = {w: [i for i in idxs if a.target_of(i) == w] for w in a.quiver.vertices}
-    pos = {}
-    for w, lst in by_vertex.items():
-        for r, i in enumerate(lst):
-            pos[i] = (w, r)
     dims = {w: len(lst) for w, lst in by_vertex.items()}
-    f = a.field
-    maps = {}
-    for arw in a.quiver.arrows:
-        u, w = arw.source, arw.target
-        mat = f.zeros((dims[w], dims[u]))
-        ai = a.arrow_index.get(arw.label)
-        if ai is not None:
-            for col, i in enumerate(by_vertex[u]):
-                for k, c in a.mult_basis(ai, i):
-                    kw, kr = pos[k]
-                    if kw != w:
-                        raise CertificateError(f"arrow {arw.label} leaves P({v}) at {kw}")
-                    mat[kr, col] = f.canon(mat[kr, col] + c)
-        maps[arw.label] = mat
-    rep = Representation(a, dims, maps, check=False)
-    rep._check_relations()
+    # the algebra's grading certificate keeps arrow * path inside P(v)
+    maps = {
+        arw.label: a.structure[a.arrow_index[arw.label], by_vertex[arw.source]][
+            :, by_vertex[arw.target]
+        ].T
+        for arw in a.quiver.arrows
+    }
+    rep = Representation(a, dims, maps)
     rep._proj_vertex = v
     rep._proj_basis = by_vertex
     return rep
@@ -441,13 +430,24 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _stacked(self) -> dict:
+        """Per vertex, the basis blocks flattened into the rows of one matrix."""
+        return {
+            v: np.stack([b.blocks[v].reshape(-1) for b in self.basis])
+            for v in self.domain.algebra.quiver.vertices
+        }
+
     def element(self, coeffs) -> Morphism:
+        """sum_i coeffs[i] basis[i]: one product with the stacked basis per vertex."""
+        if not self.basis:
+            return zero_morphism(self.domain, self.codomain)
         f = self.domain.field
-        out = zero_morphism(self.domain, self.codomain)
-        for c, b in zip(coeffs, self.basis):
-            if f.canon(c) != 0:
-                out = out.add(b.scale(c))
-        return out
+        c = f.array([f.canon(x) for x in coeffs]).reshape(-1)
+        return Morphism(self.domain, self.codomain, {
+            v: f.matmul(c, rows).reshape(self.codomain.dims[v], self.domain.dims[v])
+            for v, rows in self._stacked.items()
+        })
 
 
 def _hom_system(m: Representation, n: Representation):
@@ -800,47 +800,27 @@ def star(m: Representation) -> Representation:
 def _right_mult_on_projectives(pw: Representation, pu: Representation, label: str) -> Morphism:
     """Right multiplication by an arrow a: u -> w, as a map P(w) -> P(u)."""
     a = pw.algebra
-    f = a.field
+    # written x * a: path a then x
     ai = a.arrow_index[label]
-    blocks = {t: f.zeros((pu.dims[t], pw.dims[t])) for t in a.quiver.vertices}
-    for t in a.quiver.vertices:
-        for col, i in enumerate(pw._proj_basis[t]):
-            # written x * a: path a then x
-            for k, c in a.mult_basis(i, ai):
-                row = pu._proj_basis[t].index(k)
-                blocks[t][row, col] = f.canon(blocks[t][row, col] + c)
+    blocks = {
+        t: a.structure[pw._proj_basis[t], ai][:, pu._proj_basis[t]].T
+        for t in a.quiver.vertices
+    }
     return Morphism(pw, pu, blocks).verify()
 
 
-def cyclic_module(a: FiniteDimAlgebra, x: dict):
-    """The left submodule A x of the regular module generated by element x."""
+def cyclic_module(a: FiniteDimAlgebra, x):
+    """The left submodule A x of the regular module generated by the
+    coordinate vector x."""
     reg = regular(a)
     # regular components: vertex w holds basis paths with target w, grouped
     # projective-by-projective in quiver vertex order
-    layout = {w: [] for w in a.quiver.vertices}
-    for v in a.quiver.vertices:
-        p = projective(a, v)
-        for w in a.quiver.vertices:
-            layout[w].extend(p._proj_basis[w])
-    f = a.field
-    rows = {w: [] for w in a.quiver.vertices}
-    for i in range(a.dim):
-        prod = a.mult_sparse({i: f.canon(1)}, x)
-        if not prod:
-            continue
-        tgt = {}
-        for k, c in prod.items():
-            tgt.setdefault(a.target_of(k), {})[k] = c
-        for w, terms in tgt.items():
-            vec = f.zeros((reg.dims[w],))
-            for k, c in terms.items():
-                vec[layout[w].index(k)] = c
-            rows[w].append(vec)
-    stacked = {
-        w: (np.stack(rows[w]) if rows[w] else f.zeros((0, reg.dims[w])))
-        for w in rows
+    layout = {
+        w: [i for v in a.quiver.vertices for i in a.paths_with_source(v) if a.target_of(i) == w]
+        for w in a.quiver.vertices
     }
-    return sub_from_rows(reg, stacked)
+    prods = a.mult(a.field.eye(a.dim), x)  # row i: b_i x
+    return sub_from_rows(reg, {w: prods[:, layout[w]] for w in a.quiver.vertices})
 
 
 # ---------------------------------------------------------------------------

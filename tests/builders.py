@@ -1,8 +1,10 @@
 """Constructors for the worked example algebras used across the test suite."""
 
+import numpy as np
+
 from gpktheory.exactla import FieldSpec, invert
 from gpktheory.presentation import Quiver, RelationElem, build_algebra
-from gpktheory.rep import Representation
+from gpktheory.rep import Representation, zero_morphism
 
 GF2 = FieldSpec(2)
 
@@ -223,3 +225,46 @@ def cached_wdata(name):
         make, depth = makers[name]
         _WDATA_CACHE[name] = build_wdata(gp_catalog(make()), depth=depth)
     return _WDATA_CACHE[name]
+
+
+# references for the vectorized product checks -------------------------------
+
+
+def reference_associativity_failures(a):
+    """Every basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), found
+    by a pure-Python triple loop over sparse products of a.structure."""
+    f = a.field
+    e = a.dim
+    one = f.canon(1)
+    table = [
+        [[(k, a.structure[i, j, k]) for k in np.flatnonzero(a.structure[i, j])] for j in range(e)]
+        for i in range(e)
+    ]
+
+    def mult_sparse(x, y):
+        out = {}
+        for i, ci in x.items():
+            for j, cj in y.items():
+                for k, ck in table[i][j]:
+                    out[k] = out.get(k, 0) + ci * cj * ck
+        return {k: f.canon(v) for k, v in out.items() if f.canon(v) != 0}
+
+    return [
+        (i, j, k)
+        for i in range(e)
+        for j in range(e)
+        for k in range(e)
+        if mult_sparse(mult_sparse({i: one}, {j: one}), {k: one})
+        != mult_sparse({i: one}, mult_sparse({j: one}, {k: one}))
+    ]
+
+
+def reference_hom_element(hs, coeffs):
+    """sum_i coeffs[i] basis[i] of a HomSpace, one scale and one add per
+    nonzero coefficient."""
+    f = hs.domain.field
+    out = zero_morphism(hs.domain, hs.codomain)
+    for c, b in zip(coeffs, hs.basis):
+        if f.canon(c) != 0:
+            out = out.add(b.scale(c))
+    return out

@@ -503,9 +503,9 @@ def test_frobenius_needs_a_finite_field():
 
 
 def test_ktheory_tests_pass_under_python_O():
-    """The certificates of ktheory, gorenstein, stable, rep, presentation and
-    exactla (with the shared algebra) raise rather than assert, so their
-    tests also pass with asserts stripped."""
+    """The certificates of ktheory, gorenstein, stable, rep, presentation,
+    morita and exactla (with the shared algebra) raise rather than assert, so
+    their tests also pass with asserts stripped."""
     root = Path(__file__).resolve().parent.parent
     paths = [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -514,7 +514,7 @@ def test_ktheory_tests_pass_under_python_O():
         str(here / name)
         for name in ("test_ktheory.py", "test_stable.py", "test_radical.py", "test_rep.py",
                      "test_decompose_fast.py", "test_exactla.py", "test_presentation.py",
-                     "test_gorenstein.py")
+                     "test_gorenstein.py", "test_morita.py")
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",

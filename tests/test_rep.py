@@ -39,6 +39,7 @@ from builders import (
     alg62a,
     every_coeff_vector,
     loop_square_zero,
+    reference_hom_element,
     semisimple_two,
     twisted,
 )
@@ -386,3 +387,21 @@ def test_extension_certificates_raise(monkeypatch):
         mp.setattr(Morphism, "is_epi", lambda self: False)
         with pytest.raises(CertificateError):
             middle_term(s1, s2, classes[0], enclosing)
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec(5), QQ], ids=lambda f: f.label)
+def test_hom_element_matches_scale_and_add_loop(field):
+    a = alg61a(field)
+    m = direct_sum([projective(a, "1"), simple(a, "2"), projective(a, "2")])[0]
+    spaces = [hom_basis(m, regular(a)), hom_basis(m, m), hom_basis(m, simple(a, "1")),
+              hom_basis(simple(a, "1"), simple(a, "2"))]
+    assert [hs.dim > 0 for hs in spaces] == [True, True, True, False]
+    rng = Random(11)
+    for hs in spaces:
+        for _ in range(6):
+            coeffs = [field.random_scalar(rng) for _ in range(hs.dim)]
+            got, want = hs.element(coeffs), reference_hom_element(hs, coeffs)
+            for v in a.quiver.vertices:
+                assert got.blocks[v].dtype == want.blocks[v].dtype
+                assert got.blocks[v].shape == want.blocks[v].shape
+                assert (got.blocks[v] == want.blocks[v]).all()
