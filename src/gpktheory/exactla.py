@@ -150,10 +150,10 @@ class FieldSpec:
 
     def array(self, rows) -> np.ndarray:
         if self.char:
-            a = np.asarray(rows, dtype=np.int64)  # `%` below makes the copy
+            a = np.asarray(rows, dtype=np.int64)  # the remainder makes the copy
             if a.ndim == 1:
                 a = a.reshape(1, -1) if a.size else a.reshape(1, 0)
-            return a % self.char
+            return np.remainder(a, self.char, order="C")
         a = np.empty(np.shape(rows), dtype=object)
         src = np.array(rows, dtype=object)
         flat_src = src.reshape(-1)

@@ -228,9 +228,9 @@ def gp_catalog(
     for GP G, and extensions of a projective split.  The rounds repeat
     until nothing new appears; projective summands are discarded.  Each
     round counts against iter_cap, and hitting a cap demotes the verdict
-    to Unknown.  Ext^1 spaces too large to list are sampled from `seed`,
-    with a note, and the verdict is then Unknown too: the catalog may miss
-    a summand of an unsampled class.
+    to Unknown.  Ext^1 spaces of more than one line that are too large to
+    list are sampled from `seed`, with a note, and the verdict is then
+    Unknown too: the catalog may miss a summand of an unsampled class.
     """
     if a.field.char == 0:
         raise FieldUnsupported("GP catalog search requires a finite prime field")
@@ -287,7 +287,8 @@ def gp_catalog(
         classes, enclosing = ext1_class_reps(z, x)
         if not classes:
             return
-        combos, exhaustive = coeff_vectors(
+        # one line is spanned by its unit vector at any p
+        combos, exhaustive = ([[1]], True) if len(classes) == 1 else coeff_vectors(
             a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
         )
         if not exhaustive:

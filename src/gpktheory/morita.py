@@ -236,20 +236,19 @@ def regular_bimodule(a: FiniteDimAlgebra) -> Bimodule:
         for v in a.quiver.vertices:
             dims[_tv(u, v)] = len(idx.get((u, v), []))
     maps = {}
-    # the algebra's grading certificate keeps each product inside its block
     for beta in a.quiver.arrows:
         bi = a.arrow_index[beta.label]
         for v in a.quiver.vertices:
             src = idx.get((beta.source, v), [])
             tgt = idx.get((beta.target, v), [])
-            maps[_lname(beta.label, v)] = a.structure[bi, src][:, tgt].T
+            maps[_lname(beta.label, v)] = a.action(bi, src, tgt)
     op = opposite(a)
     for u in a.quiver.vertices:
         for al in op.quiver.arrows:
             ai = a.arrow_index[al.label]
             src = idx.get((u, al.source), [])
             tgt = idx.get((u, al.target), [])
-            maps[_rname(u, al.label)] = a.structure[src, ai][:, tgt].T
+            maps[_rname(u, al.label)] = a.action(ai, src, tgt, "right")
     return Bimodule(a, a, Representation(t, dims, maps, check=True))
 
 

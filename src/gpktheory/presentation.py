@@ -174,7 +174,8 @@ class FiniteDimAlgebra(StructureAlgebra):
     order, and structure[i, j] holds the coordinates of b_i b_j (b_j acts
     first), as in every StructureAlgebra; the unit is the sum of the trivial
     paths.  loewy_length is the witnessed nilpotency degree N: every path of
-    length >= N is zero.  Construction runs certify().
+    length >= N is zero.  Construction runs certify().  The table takes 8 e^3
+    bytes: 14 MB at e = 121, the largest measured, and 512 MB at e = 400.
     """
 
     def __init__(self, field, quiver, basis, structure, relations, nilpotency,
@@ -206,6 +207,13 @@ class FiniteDimAlgebra(StructureAlgebra):
 
     def paths_with_source(self, v: str):
         return [i for i, p in enumerate(self.basis) if p.source == v]
+
+    def action(self, k: int, rows, cols, side: str = "left") -> np.ndarray:
+        """The matrix of x -> b_k x (or x b_k, side "right") from span(rows)
+        to span(cols), on column vectors.  certify() keeps each product
+        between the end vertices of its factors, so cols need hold only those."""
+        block = self.structure[k, rows] if side == "left" else self.structure[rows, k]
+        return block[:, cols].T
 
     def element_from_str(self, word: str) -> np.ndarray:
         """Parse a written word like "b*a" or "e_1" into a coordinate vector."""
@@ -491,11 +499,12 @@ def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
         return a._op
     qop = a.quiver.reverse()
     basis = [_reverse_path(p) for p in a.basis]
-    structure = np.ascontiguousarray(a.structure.transpose(1, 0, 2))
     rel_op = [
         RelationElem(tuple((c, _reverse_path(p)) for c, p in r.terms))
         for r in a.relations
     ]
+    # a transposed view: constructing op makes its one contiguous copy
+    structure = a.structure.transpose(1, 0, 2)
     op = FiniteDimAlgebra(
         a.field, qop, basis, structure, rel_op, a.loewy_length, a.is_monomial, a.max_len
     )

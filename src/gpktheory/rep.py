@@ -258,11 +258,8 @@ def projective(a: FiniteDimAlgebra, v: str) -> Representation:
     idxs = a.paths_with_source(v)
     by_vertex = {w: [i for i in idxs if a.target_of(i) == w] for w in a.quiver.vertices}
     dims = {w: len(lst) for w, lst in by_vertex.items()}
-    # the algebra's grading certificate keeps arrow * path inside P(v)
     maps = {
-        arw.label: a.structure[a.arrow_index[arw.label], by_vertex[arw.source]][
-            :, by_vertex[arw.target]
-        ].T
+        arw.label: a.action(a.arrow_index[arw.label], by_vertex[arw.source], by_vertex[arw.target])
         for arw in a.quiver.arrows
     }
     rep = Representation(a, dims, maps)
@@ -803,7 +800,7 @@ def _right_mult_on_projectives(pw: Representation, pu: Representation, label: st
     # written x * a: path a then x
     ai = a.arrow_index[label]
     blocks = {
-        t: a.structure[pw._proj_basis[t], ai][:, pu._proj_basis[t]].T
+        t: a.action(ai, pw._proj_basis[t], pu._proj_basis[t], "right")
         for t in a.quiver.vertices
     }
     return Morphism(pw, pu, blocks).verify()

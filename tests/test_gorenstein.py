@@ -257,24 +257,46 @@ def test_iteration_cap_counts_extension_rounds():
     assert (cat.verdict, len(cat.items), cat.notes) == ("CMFinite", 3, [])
 
 
-def test_sampled_ext_classes_are_noted(monkeypatch):
-    """When Ext^1 is too large to list its classes are sampled, the catalog
-    says so in its notes, which `--json` reports as warnings, and its verdict
-    is Unknown: a class left out could extend to a new GP summand."""
-    a = alg61a(GF5)
+def test_sampled_ext_classes_are_noted(monkeypatch, tmp_path):
+    """When Ext^1 has several lines and is too large to list, its classes are
+    sampled, the catalog says so in its notes, which `--json` reports as
+    warnings, and its verdict is Unknown: a class left out could extend to a
+    new GP summand.  k[x]/(x^4) over GF(5) with the cap at 5 lists the
+    one-line spaces and samples Ext^1(k[x]/(x^2), k[x]/(x^2)) = GF(5)^2."""
+    a = truncated_polynomials(GF5, 4)
     exhaustive = gp_catalog(a)
-    b = alg61a(GF5)
-    monkeypatch.setattr(exactla, "EXHAUSTIVE_CAP", 1)
+    b = truncated_polynomials(GF5, 4)
+    monkeypatch.setattr(exactla, "EXHAUSTIVE_CAP", 5)
     sampled = gp_catalog(b)
-    note = "ext classes sampled (dimension 1) for a pair of dims (1, 1) -> (1, 1)"
-    assert note in sampled.notes and note not in exhaustive.notes
+    note = "ext classes sampled (dimension 2) for a pair of dims (2,) -> (2,)"
+    assert sampled.notes == [note] and exhaustive.notes == []
     assert [item.key() for item in sampled.items] == [item.key() for item in exhaustive.items]
     assert (sampled.verdict, exhaustive.verdict) == ("Unknown", "CMFinite")
     with pytest.raises(CatalogUnknown):
         k0_gorenstein(b, sampled)
+    path = tmp_path / "kx4.alg"
+    path.write_text(
+        "algebra kx4 over GF(5)\nvertices 1\narrow x : 1 -> 1\nrelation x*x*x*x = 0\n"
+    )
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["analyze", "example61A.alg", "--json"]) == 2
+        assert cli.main(["analyze", str(path), "--json"]) == 2
     answer = json.loads(out.getvalue())
     assert note in answer["warnings"]
     assert (answer["k0"], answer["k1"]) == (None, None)
+
+
+def test_one_line_ext_is_listed_at_any_prime(monkeypatch):
+    """A one-line Ext^1 is spanned by its unit vector whatever p is, so it
+    is listed, not sampled: 61A over GF(65521) (p > EXHAUSTIVE_CAP) gets the
+    complete catalog and the K0 it gets over GF(5), with no note."""
+    small = alg61a(GF5)
+    big = alg61a(FieldSpec(65521))
+    cat, ref = gp_catalog(big), gp_catalog(small)
+    assert (cat.verdict, cat.notes) == ("CMFinite", [])
+    assert [item.dim_vector for item in cat.items] == [item.dim_vector for item in ref.items]
+    assert k0_gorenstein(big, cat) == k0_gorenstein(small, ref)
+    # every pair of 61A has Ext^1 of dimension 0 or 1, so even a cap of 1
+    # lists them all
+    monkeypatch.setattr(exactla, "EXHAUSTIVE_CAP", 1)
+    assert gp_catalog(alg61a(GF5)).notes == []

@@ -188,6 +188,36 @@ def test_opposite_involution_and_products():
     }
     # op product x *op y = (y x)^rev computed in a
     assert (op.structure == a.structure.transpose(1, 0, 2)).all()
+    # a contiguous copy, so products reshape it without copying
+    assert op.structure.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: alg61b(GF3), lambda: alg61a(QQ)], ids=["61B/GF(3)", "61A/QQ"]
+)
+def test_action_is_the_block_of_multiplication(make):
+    """action(k, rows, cols, side) is the matrix of multiplication by b_k
+    between the paths with one end fixed, and the product has no
+    coordinates outside cols."""
+    a = make()
+    eye = a.field.eye(a.dim)
+    ends = [(p.source, p.target) for p in a.basis]
+
+    def paths(source, target):
+        return [i for i, e in enumerate(ends) if e == (source, target)]
+
+    for k, (u, w) in enumerate(ends):
+        for s in a.quiver.vertices:
+            for side, rows, cols in (
+                ("left", paths(s, u), paths(s, w)),
+                ("right", paths(w, s), paths(u, s)),
+            ):
+                block = a.action(k, rows, cols, side)
+                assert block.shape == (len(cols), len(rows))
+                for n, r in enumerate(rows):
+                    prod = a.mult(eye[k], eye[r]) if side == "left" else a.mult(eye[r], eye[k])
+                    assert (prod[cols] == block[:, n]).all()
+                    assert not np.delete(prod, cols).any()
 
 
 def test_not_admissible_reported():
