@@ -54,10 +54,13 @@ def coeff_vectors(f: FieldSpec, n: int, *, lines=True, seed=0, tries=0):
     With `lines`, only the first vector of each line, the one whose last
     nonzero entry is 1, so a search for a property that nonzero scalars
     preserve finds the same first hit as among all vectors.  For n = 0 that
-    is the zero vector, and no lines.
+    is the zero vector, and no lines.  For n = 1 it is the unit vector [[1]],
+    the one line, at every prime and over QQ.
 
     Otherwise sampled: `sampled_coeff_vectors(f, n, seed, tries)`.
     """
+    if lines and n == 1:
+        return np.ones((1, 1), dtype=np.int64), True
     if not is_exhaustive(f, n):
         return sampled_coeff_vectors(f, n, seed, tries), False
     p = f.char

@@ -287,8 +287,7 @@ def gp_catalog(
         classes, enclosing = ext1_class_reps(z, x)
         if not classes:
             return
-        # one line is spanned by its unit vector at any p
-        combos, exhaustive = ([[1]], True) if len(classes) == 1 else coeff_vectors(
+        combos, exhaustive = coeff_vectors(
             a.field, len(classes), seed=seed, tries=RANDOM_CLASSES
         )
         if not exhaustive:

@@ -9,6 +9,14 @@ relations together with the commutation squares.  Validating a
 representation over that presentation is exactly the statement that both
 actions satisfy their own algebra's relations and commute with each other.
 
+The algebra of that presentation is built from the factors, not by
+saturating its ideal.  Its basis is b_i (x) o_j, with o the opposite of A
+saturated on its own reversed quiver, and each element is named by the least
+shuffle of the two lifted paths: the normal form the saturation would pick.
+Its table is the Kronecker product of the factors' tables.  A certificate
+checks that every arrow is a basis element, every basis path is the product
+of its arrows, and every relation of the presentation vanishes in the table.
+
 On top of that sit the balanced tensor product (a cokernel of the relation
 rows m*a (x) x - m (x) a*x), the two duals Hom into either regular module,
 and the certification entry points: Frobenius bimodules, stable equivalence
@@ -31,6 +39,7 @@ from .presentation import (
     Path,
     Quiver,
     RelationElem,
+    _path_key,
     build_algebra,
     opposite,
 )
@@ -71,29 +80,15 @@ def _rname(u: str, label: str) -> str:
 _POINT_CACHE = {}
 
 
-def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """The algebra whose left modules are (b, a)-bimodules.
-
-    Built as a quiver presentation from the two factors: vertices are pairs
-    u.v, arrows are the left-action copies of b's arrows and the
-    right-action copies of a's reversed arrows, and the relations are both
-    factors' relations (one copy per vertex of the other factor) plus a
-    commutation square for every arrow pair.  The result is cached in b's
-    per-algebra storage, keyed by a, and its dimension is checked to be
-    dim(b) * dim(a).
-    """
-    cache = b._caches.setdefault("tensor", {})
-    hit = cache.get(id(a))
-    if hit is not None and hit[0] is a:
-        return hit[1]
-    if b.field.char != a.field.char:
-        raise AlgebraMismatch("the factors are defined over different fields")
-    f = b.field
-    op = opposite(a)
-    verts = [_tv(u, v) for u in b.quiver.vertices for v in a.quiver.vertices]
+def _tensor_presentation(b: FiniteDimAlgebra, op: FiniteDimAlgebra):
+    """The quiver and relations of b (x) op: vertices u.v, the left-action
+    copies of b's arrows and the right-action copies of op's arrows, both
+    factors' relations (one copy per vertex of the other factor) and a
+    commutation square for every arrow pair."""
+    verts = [_tv(u, v) for u in b.quiver.vertices for v in op.quiver.vertices]
     arrows = []
     for beta in b.quiver.arrows:
-        for v in a.quiver.vertices:
+        for v in op.quiver.vertices:
             arrows.append(
                 (_lname(beta.label, v), _tv(beta.source, v), _tv(beta.target, v))
             )
@@ -103,7 +98,7 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
     qt = Quiver.make(verts, arrows)
     rels = []
     for r in b.relations:
-        for v in a.quiver.vertices:
+        for v in op.quiver.vertices:
             rels.append(
                 RelationElem(
                     tuple(
@@ -136,8 +131,8 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
                     )
                 )
             )
-    one = f.canon(1)
-    minus = f.canon(-1)
+    one = b.field.canon(1)
+    minus = b.field.canon(-1)
     for beta in b.quiver.arrows:
         for al in op.quiver.arrows:
             src = _tv(beta.source, al.source)
@@ -170,9 +165,124 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
                     )
                 )
             )
-    t = build_algebra(qt, rels, f, max_len=b.loewy_length + a.loewy_length)
-    if t.dim != b.dim * a.dim:
-        raise CertificateError("tensor algebra dimension is not the product")
+    return qt, rels
+
+
+def _least_shuffle(bq: Quiver, p: Path, oq: Quiver, q: Path) -> Path:
+    """The least path of the tensor quiver whose left arrows spell p and whose
+    right arrows spell q: at each step the smaller of the two next lifted
+    labels.  Every shuffle of the two is the same element modulo the
+    commutation squares; the least one is the normal form the saturation of
+    the presentation keeps."""
+    u, v = p.source, q.source
+    i = j = 0
+    labels = []
+    while i < p.length or j < q.length:
+        left = _lname(p.arrows[i], v) if i < p.length else None
+        right = _rname(u, q.arrows[j]) if j < q.length else None
+        if right is None or (left is not None and left < right):
+            labels.append(left)
+            u = bq.arrow(p.arrows[i]).target
+            i += 1
+        else:
+            labels.append(right)
+            v = oq.arrow(q.arrows[j]).target
+            j += 1
+    return Path(_tv(p.source, q.source), _tv(p.target, q.target), tuple(labels))
+
+
+def _certify_presentation(t: FiniteDimAlgebra):
+    """Raise CertificateError unless t's table satisfies t's presentation:
+    every arrow of the quiver is a basis element, every longer basis path is
+    the product of its arrows, and every relation multiplies out to zero.
+
+    Basis paths are checked in length order, so a shorter path's product is
+    read off its own basis coordinates once it has been checked.
+    """
+    f = t.field
+    eye = f.eye(t.dim)
+    for ar in t.quiver.arrows:
+        if ar.label not in t.arrow_index:
+            raise CertificateError(f"arrow {ar.label} is not a basis element")
+
+    def element(p: Path):
+        k = t.index.get(p)
+        return eye[k] if k is not None else arrow_product(p)
+
+    def arrow_product(p: Path):
+        # the last arrow times the product of the others
+        last = p.arrows[-1]
+        head = Path(p.source, t.quiver.arrow(last).source, p.arrows[:-1])
+        left = t.structure[t.arrow_index[last]]
+        k = t.index.get(head)
+        return left[k] if k is not None else t._canon(element(head) @ left)
+
+    for k, p in enumerate(t.basis):
+        if p.length > 1 and (arrow_product(p) != eye[k]).any():
+            raise CertificateError(f"basis path {p} is not the product of its arrows")
+    for r in t.relations:
+        if t._canon(sum(f.canon(c) * element(p) for c, p in r.terms)).any():
+            raise CertificateError(f"relation {r} does not vanish in the table")
+
+
+def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra:
+    """The algebra whose left modules are (b, a)-bimodules.
+
+    Its quiver and relations are the tensor presentation of b with the
+    opposite of a (`_tensor_presentation`), which `Representation` checks
+    bimodules against.  Its basis and table come straight from the factors,
+    without saturating that presentation: the right factor o is a's opposite
+    saturated on the reversed quiver, so its basis holds the normal forms the
+    saturation of the whole presentation would pick, and b_i (x) o_j is
+    named by the least shuffle of the two lifted paths (`_least_shuffle`),
+    in (length, source, labels) order.  The table is the Kronecker product of
+    the factors' tables, (b (x) o)(b' (x) o') = bb' (x) oo'.
+    Construction runs certify(), and `_certify_presentation` checks that the
+    arrows are basis elements, every basis path is the product of its
+    arrows, and every relation vanishes.  The result is cached in b's
+    per-algebra storage, keyed by a.
+    """
+    cache = b._caches.setdefault("tensor", {})
+    hit = cache.get(id(a))
+    if hit is not None and hit[0] is a:
+        return hit[1]
+    if b.field.char != a.field.char:
+        raise AlgebraMismatch("the factors are defined over different fields")
+    f = b.field
+    op = opposite(a)
+    qt, rels = _tensor_presentation(b, op)
+    # not op itself: its index-preserving reversed basis can differ from the
+    # normal forms on the reversed quiver where a has a binomial relation
+    o = build_algebra(op.quiver, op.relations, f, max_len=a.max_len)
+    names = [_least_shuffle(b.quiver, p, o.quiver, q) for p in b.basis for q in o.basis]
+    order = sorted(range(len(names)), key=lambda k: _path_key(qt, names[k]))
+    e = len(names)
+    rank = np.empty(e, dtype=np.int64)
+    rank[order] = np.arange(e)
+    # the Kronecker product of the two tables, written straight into basis
+    # order at the products of nonzero constants: dense, it costs
+    # dim(b)^3 dim(o)^3 products, seconds on Fractions over QQ
+    i, k, m = np.nonzero(b.structure)
+    j, l, n = np.nonzero(o.structure)
+
+    def at(x, y):
+        return rank[x[:, None] * o.dim + y]
+
+    prods = np.multiply.outer(b.structure[i, k, m], o.structure[j, l, n])
+    table = f.zeros((e, e, e))
+    table[at(i, j), at(k, l), at(m, n)] = prods % f.char if f.char else prods
+    basis = [names[c] for c in order]
+    t = FiniteDimAlgebra(
+        f,
+        qt,
+        basis,
+        table,
+        rels,
+        max(2, basis[-1].length + 1),
+        all(len(r.terms) == 1 for r in rels),
+        b.loewy_length + a.loewy_length,
+    )
+    _certify_presentation(t)
     cache[id(a)] = (a, t)
     return t
 

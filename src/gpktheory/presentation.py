@@ -493,6 +493,13 @@ def _reverse_path(p: Path) -> Path:
 def opposite(a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """The opposite algebra: reversed quiver, index-preserving reversed basis.
 
+    Its basis is a's basis with every path reversed, in a's order.  That can
+    differ from the normal forms `build_algebra` picks on the reversed quiver
+    with the reversed relations: where a has a binomial relation, the
+    reversed pivot need not be the greatest term any more (62B's r*s = t*d).
+    This is why `morita.tensor_algebra` saturates the opposite presentation
+    for its right factor instead of reading this basis.
+
     opposite(opposite(a)) is a itself.
     """
     if a._op is not None:

@@ -351,12 +351,23 @@ def test_coeff_vectors_at_n_zero():
 
 
 def test_coeff_vectors_over_qq_are_never_exhaustive():
+    # except the one line of QQ^1, tested below
     for n in range(5):
         for lines in (True, False):
+            if lines and n == 1:
+                continue
             vecs, exhaustive = coeff_vectors(QQ, n, lines=lines, seed=n, tries=4)
             assert not exhaustive
             vecs = list(vecs)
             assert vecs[:n] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 0])
+def test_coeff_vectors_list_the_one_line_at_every_field(p):
+    """F^1 is one line at every prime and over QQ: its unit vector is an
+    exhaustive search, with no draws, whatever the seed and tries."""
+    vecs, exhaustive = coeff_vectors(FieldSpec(p), 1, seed=7, tries=128)
+    assert exhaustive and vecs.dtype == np.int64 and vecs.tolist() == [[1]]
 
 
 def _old_sampled_vectors(f, n, seed, tries):
@@ -377,7 +388,8 @@ def test_sampled_branch_matches_the_old_generators(p, n):
     dropped = 0
     for seed in range(6):
         for tries in (0, 8, 128):
-            vecs, exhaustive = coeff_vectors(f, n, seed=seed, tries=tries)
+            # every vector, not lines: F^1 is one line, listed exhaustively
+            vecs, exhaustive = coeff_vectors(f, n, lines=False, seed=seed, tries=tries)
             assert not exhaustive
             vecs = [list(v) for v in vecs]
             assert vecs == [list(v) for v in _old_sampled_vectors(f, n, seed, tries)]

@@ -6,7 +6,8 @@ from random import Random
 
 import pytest
 
-from gpktheory.exactla import FieldSpec
+from gpktheory import morita
+from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.morita import (
     AlgebraMismatch,
     Bimodule,
@@ -19,6 +20,7 @@ from gpktheory.morita import (
     left_dual,
     left_module_of,
     module_from_bimodule,
+    point_algebra,
     regular_bimodule,
     right_dual,
     right_module_of,
@@ -26,7 +28,7 @@ from gpktheory.morita import (
     tensor_algebra,
     tensor_bimodules,
 )
-from gpktheory.presentation import Quiver, build_algebra
+from gpktheory.presentation import Quiver, RelationElem, build_algebra
 from gpktheory.rep import (
     Representation,
     direct_sum,
@@ -38,7 +40,7 @@ from gpktheory.rep import (
     zero_rep,
 )
 
-from builders import alg61a, alg61b, alg62a, alg62b, loop_square_zero
+from builders import alg61a, alg61b, alg62a, alg62b, loop_square_zero, semisimple_two
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -85,6 +87,46 @@ def test_tensor_cache_does_not_keep_its_factors_alive():
 def test_tensor_algebra_field_mismatch():
     with pytest.raises(AlgebraMismatch):
         tensor_algebra(loop_square_zero(GF2), loop_square_zero(GF3))
+
+
+@pytest.mark.parametrize(
+    "left,right,field",
+    [
+        (alg62b, alg62b, GF3),  # a binomial relation in the right factor
+        (alg62a, alg62b, GF3),
+        (alg61b, alg61b, GF3),
+        (loop_square_zero, alg61b, GF2),
+        (semisimple_two, semisimple_two, GF2),  # nilpotency 2 with no arrows
+        (arrow_algebra, point_algebra, GF2),
+        (loop_square_zero, alg62b, FieldSpec(0)),
+    ],
+    ids=["62Bx62B-GF3", "62Ax62B-GF3", "61Bx61B-GF3", "kx2x61B-GF2",
+         "semisimple2xsemisimple2-GF2", "A2xpoint-GF2", "kx2x62B-QQ"],
+)
+def test_tensor_algebra_equals_its_saturation(left, right, field):
+    """The table built from the factors is the saturation of the tensor
+    presentation: same quiver, basis paths in order, table and flags."""
+    t = tensor_algebra(left(field), right(field))
+    s = build_algebra(t.quiver, t.relations, t.field, max_len=t.max_len)
+    assert t.quiver == s.quiver and t.basis == s.basis
+    assert t.structure.dtype == s.structure.dtype and (t.structure == s.structure).all()
+    assert (t.loewy_length, t.is_monomial, t.max_len) == (
+        s.loewy_length, s.is_monomial, s.max_len)
+
+
+def test_tensor_algebra_certifies_its_presentation(monkeypatch):
+    """A relation list the table does not satisfy raises, also under -O: here
+    one commutation square with its sign flipped."""
+    build = morita._tensor_presentation
+
+    def flipped(b, op):
+        qt, rels = build(b, op)
+        (c, p), (_, q) = rels[-1].terms
+        return qt, rels[:-1] + [RelationElem(((c, p), (c, q)))]
+
+    monkeypatch.setattr(morita, "_tensor_presentation", flipped)
+    with pytest.raises(CertificateError, match="does not vanish"):
+        tensor_algebra(arrow_algebra(GF3), arrow_algebra(GF3))
 
 
 def test_regular_bimodule_components():
