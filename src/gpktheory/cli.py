@@ -272,10 +272,14 @@ def load_algebra_file(path: str) -> AlgebraFile:
         raise CliError(f"{p.name}: {e}")
 
 
-def build_from_file(af: AlgebraFile, args) -> FiniteDimAlgebra:
-    opts = dict(af.options)
+def _override_field(af: AlgebraFile, args):
     if args.field is not None:
         af.field = FieldSpec(args.field)
+
+
+def build_from_file(af: AlgebraFile, args) -> FiniteDimAlgebra:
+    opts = dict(af.options)
+    _override_field(af, args)
     if args.max_len is not None:
         opts["max_len"] = args.max_len
     try:
@@ -624,6 +628,8 @@ def cmd_compare(args):
 def cmd_semt(args):
     af1 = load_algebra_file(args.file)
     af2 = load_algebra_file(args.file2)
+    # both files at the --field override before they are compared
+    _override_field(af2, args)
     a1 = build_from_file(af1, args)
     if serialize(af2) == serialize(af1):
         a2 = a1

@@ -320,15 +320,210 @@ def _join(probe, keys):
 # construction by ideal saturation
 
 
-def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> FiniteDimAlgebra:
-    """Quotient the path algebra of q by the admissible ideal the relations generate.
+class _Echelon:
+    """A span of sparse vectors over integer coordinates, kept as fully
+    inter-reduced rows: each row's pivot is its least coordinate, with
+    coefficient 1, and no row holds the pivot of another."""
 
-    Saturates the relation span under arrow multiplication inside the path
-    universe of length <= max_len, finds the least N with every length-N
-    path in the span (NotAdmissibleWithinBound if none), and cuts the basis
-    at length < N.  Products whose terms would exceed max_len are dropped,
-    which is exact for length-homogeneous relations; the nilpotency witness
-    below still validates whatever span results.
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.rows = {}  # pivot coord -> sparse row dict
+
+    def reduce(self, vec: dict) -> dict:
+        # full reduction: clear every pivot coordinate, not just the lead;
+        # subtracting a pivot row only introduces larger coordinates, so one
+        # ascending sweep terminates
+        field, rows = self.field, self.rows
+        vec = {k: field.canon(v) for k, v in vec.items() if field.canon(v) != 0}
+        while True:
+            hits = sorted(k for k in vec if k in rows)
+            if not hits:
+                return vec
+            lead = hits[0]
+            c = vec[lead]
+            for k, v in rows[lead].items():
+                nv = field.canon(vec.get(k, 0) - c * v)
+                if nv == 0:
+                    vec.pop(k, None)
+                else:
+                    vec[k] = nv
+
+    def add(self, vec: dict):
+        """Add vec to the span; its new pivot, or None if it was in the span."""
+        field = self.field
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        lead = min(vec)
+        inv = field.inv_scalar(vec[lead])
+        vec = {k: field.canon(inv * v) for k, v in vec.items()}
+        for row in self.rows.values():
+            if lead in row:
+                c = row[lead]
+                for k, v in vec.items():
+                    nv = field.canon(row.get(k, 0) - c * v)
+                    if nv == 0:
+                        row.pop(k, None)
+                    else:
+                        row[k] = nv
+        self.rows[lead] = vec
+        return lead
+
+    def normal_forms(self, desc, cut) -> dict:
+        """{pivot path: {tail path: coefficient}} for the pivot paths shorter
+        than cut: a pivot path equals minus the rest of its row."""
+        canon = self.field.canon
+        return {
+            desc[c]: {desc[k]: canon(-v) for k, v in row.items() if k != c}
+            for c, row in self.rows.items()
+            if desc[c].length < cut
+        }
+
+
+def _relation_vec(r: RelationElem, coord, field: FieldSpec) -> dict:
+    vec = {}
+    for c, p in r.terms:
+        vec[coord[p]] = field.canon(vec.get(coord[p], 0) + field.canon(c))
+    return vec
+
+
+def _arrow_multiple(vec, desc, coord, a: Arrow, side: str, field: FieldSpec, max_len: int):
+    """a*v (side "left") or v*a (side "right") for v = vec over the paths
+    desc, in the coordinates coord; None if a term is longer than max_len."""
+    prod = {}
+    for k, c in vec.items():
+        p = desc[k]
+        if side == "left":
+            # written a * p: p then a
+            if p.target != a.source:
+                continue
+            np_ = Path(p.source, a.target, p.arrows + (a.label,))
+        else:
+            # written p * a: a then p
+            if a.target != p.source:
+                continue
+            np_ = Path(a.source, p.target, (a.label,) + p.arrows)
+        if np_.length > max_len:
+            return None
+        prod[coord[np_]] = field.canon(prod.get(coord[np_], 0) + c)
+    return prod
+
+
+def _not_admissible(max_len: int) -> NotAdmissibleWithinBound:
+    return NotAdmissibleWithinBound(
+        f"no nilpotency degree <= {max_len} witnessed; raise max_len or fix relations"
+    )
+
+
+def _saturate_graded(q: Quiver, relations, field: FieldSpec, max_len: int):
+    """(N, paths of length < N, their normal forms) for relations whose terms
+    share one length each, one path length n at a time.
+
+    The ideal's length-n part is the span of the length-n relations and of
+    the arrow multiples, on either side, of the rows of the length-(n-1)
+    part; the length-n paths are the arrow extensions of the length-(n-1)
+    paths.  N is the first n >= 2 whose part holds every length-n path.
+    """
+    by_len = {}
+    for r in relations:
+        by_len.setdefault(r.terms[0][1].length, []).append(r)
+    desc = [trivial_path(v) for v in reversed(q.vertices)]
+    part = _Echelon(field)
+    paths, normal = list(desc), {}
+    for n in range(1, max_len + 1):
+        prev_desc, prev = desc, part
+        desc = sorted(
+            (Path(p.source, a.target, p.arrows + (a.label,))
+             for p in prev_desc for a in q.arrows_from(p.target)),
+            key=lambda p: _path_key(q, p),
+            reverse=True,
+        )
+        coord = {p: i for i, p in enumerate(desc)}
+        part = _Echelon(field)
+        for r in by_len.get(n, ()):
+            part.add(_relation_vec(r, coord, field))
+        for row in prev.rows.values():
+            for a in q.arrows:
+                for side in ("left", "right"):
+                    prod = _arrow_multiple(row, prev_desc, coord, a, side, field, max_len)
+                    if prod:
+                        part.add(prod)
+        if n >= 2 and len(part.rows) == len(desc):
+            return n, paths, normal
+        paths += desc
+        normal.update(part.normal_forms(desc, n + 1))
+    raise _not_admissible(max_len)
+
+
+def _saturate_bounded(q: Quiver, relations, field: FieldSpec, max_len: int):
+    """(N, paths of length < N, their normal forms) for any relations, by
+    saturating the relation span under arrow multiplication inside the paths
+    of length <= max_len.
+
+    A product with a term longer than max_len is dropped, so where the
+    relations mix lengths the span depends on the bound and on the order of
+    work; the nilpotency witness still validates whatever span results.
+    """
+    paths = enumerate_paths(q, max_len)
+    # coordinates in descending (length, source, labels) order: reduction
+    # pivots eliminate the longest / lex-greatest path of each relation
+    desc = sorted(paths, key=lambda p: _path_key(q, p), reverse=True)
+    coord = {p: i for i, p in enumerate(desc)}
+    ideal = _Echelon(field)
+    work = []
+    for r in relations:
+        vec = _relation_vec(r, coord, field)
+        if ideal.add(vec) is not None:
+            work.append(vec)
+    seen = 0
+    while seen < len(work):
+        vec = work[seen]
+        seen += 1
+        for a in q.arrows:
+            for side in ("left", "right"):
+                prod = _arrow_multiple(vec, desc, coord, a, side, field, max_len)
+                if prod and ideal.add(prod) is not None:
+                    work.append(prod)
+
+    # admissibility witness: least N with every length-N path a singleton pivot
+    by_len = {}
+    for p in paths:
+        by_len.setdefault(p.length, []).append(p)
+    one = field.canon(1)
+    for n in range(2, max_len + 1):
+        if all(ideal.rows.get(coord[p]) == {coord[p]: one} for p in by_len.get(n, [])):
+            below = [p for p in paths if p.length < n]
+            return n, below, ideal.normal_forms(desc, n)
+    raise _not_admissible(max_len)
+
+
+def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> FiniteDimAlgebra:
+    """Quotient the path algebra of q by the admissible ideal I the relations generate.
+
+    Finds the least N in 2..max_len with every length-N path in I
+    (NotAdmissibleWithinBound if none) and cuts the basis at length < N.
+    I is held in reduced row echelon form over the paths in descending
+    (length, source, labels) order, so each row's pivot is its longest,
+    lex-greatest path; the basis is the paths of length < N that are no
+    pivot, and a pivot path's normal form is minus the rest of its row.
+
+    Two routes compute I up to length N:
+
+    - When the terms of each relation share one length, I is graded, and its
+      length-n part I_n is spanned by the length-n relations and by a*I_(n-1)
+      and I_(n-1)*a over the arrows a.  `_saturate_graded` computes I_2,
+      I_3, ... in turn and stops at the first part that holds every path of
+      its length, so the cost follows N, not max_len.  The result is the
+      bounded route's: that route keeps every product of length <= max_len,
+      so its span is the sum of the I_n with n <= max_len, and the RREF of a
+      graded subspace is the union of the RREFs of its parts, which lie on
+      disjoint coordinates.
+    - Relations that mix lengths, such as x*x - y*y*y, generate an ideal that
+      is not graded: its short elements can come from long products, so no
+      length is final before the bound.  `_saturate_bounded` saturates the
+      relation span inside the paths of length <= max_len and drops each
+      product with a longer term; that truncation makes the result depend on
+      the bound and the order of work.
     """
     relations = list(relations)
     for r in relations:
@@ -345,114 +540,19 @@ def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> 
             if field.canon(c) == 0:
                 raise InvalidRelation(f"zero coefficient in {r}")
 
-    paths = enumerate_paths(q, max_len)
-    # coordinates in descending (length, source, labels) order: reduction
-    # pivots eliminate the longest / lex-greatest path of each relation
-    desc = sorted(paths, key=lambda p: _path_key(q, p), reverse=True)
-    coord = {p: i for i, p in enumerate(desc)}
-
-    rows = {}  # pivot coord -> sparse row dict, kept fully inter-reduced
-
-    def reduce_vec(vec: dict) -> dict:
-        # full reduction: clear every pivot coordinate, not just the lead;
-        # subtracting a pivot row only introduces larger coordinates, so one
-        # ascending sweep terminates
-        vec = {k: field.canon(v) for k, v in vec.items() if field.canon(v) != 0}
-        while True:
-            hits = sorted(k for k in vec if k in rows)
-            if not hits:
-                return vec
-            lead = hits[0]
-            c = vec[lead]
-            for k, v in rows[lead].items():
-                nv = field.canon(vec.get(k, 0) - c * v)
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-
-    def add_row(vec: dict):
-        vec = reduce_vec(dict(vec))
-        if not vec:
-            return None
-        lead = min(vec)
-        inv = field.inv_scalar(vec[lead])
-        vec = {k: field.canon(inv * v) for k, v in vec.items()}
-        for row in rows.values():
-            if lead in row:
-                c = row[lead]
-                for k, v in vec.items():
-                    nv = field.canon(row.get(k, 0) - c * v)
-                    if nv == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-        rows[lead] = vec
-        return lead
-
-    work = []
-    for r in relations:
-        vec = {}
-        for c, p in r.terms:
-            vec[coord[p]] = field.canon(vec.get(coord[p], 0) + field.canon(c))
-        if add_row(vec) is not None:
-            work.append(vec)
-    seen = 0
-    while seen < len(work):
-        vec = work[seen]
-        seen += 1
-        for a in q.arrows:
-            for side in ("left", "right"):
-                prod = {}
-                ok = True
-                for k, c in vec.items():
-                    p = desc[k]
-                    if side == "left":
-                        # written a * p: p then a
-                        if p.target != a.source:
-                            continue
-                        np_ = Path(p.source, a.target, p.arrows + (a.label,))
-                    else:
-                        # written p * a: a then p
-                        if a.target != p.source:
-                            continue
-                        np_ = Path(a.source, p.target, (a.label,) + p.arrows)
-                    if np_.length > max_len:
-                        ok = False
-                        break
-                    prod[coord[np_]] = field.canon(prod.get(coord[np_], 0) + c)
-                if ok and prod:
-                    if add_row(prod) is not None:
-                        work.append(prod)
-
-    # admissibility witness: least N with every length-N path a singleton pivot
-    by_len = {}
-    for p in paths:
-        by_len.setdefault(p.length, []).append(p)
-    one = field.canon(1)
-    nilpotency = None
-    for n in range(2, max_len + 1):
-        full = True
-        for p in by_len.get(n, []):
-            if rows.get(coord[p]) != {coord[p]: one}:
-                full = False
-                break
-        if full:
-            nilpotency = n
-            break
-    if nilpotency is None:
-        raise NotAdmissibleWithinBound(
-            f"no nilpotency degree <= {max_len} witnessed; raise max_len or fix relations"
-        )
-
-    basis = [p for p in paths if p.length < nilpotency and coord[p] not in rows]
-    for c in rows:
-        if desc[c].length < 2:
+    graded = all(len({p.length for _, p in r.terms}) == 1 for r in relations)
+    saturate = _saturate_graded if graded else _saturate_bounded
+    nilpotency, paths, normal = saturate(q, relations, field, max_len)
+    for p, tail in normal.items():
+        if p.length < 2:
             raise CertificateError("admissible ideal produced a short pivot")
-    basis.sort(key=lambda p: _path_key(q, p))
+        if any(t.length >= nilpotency for t in tail):
+            raise CertificateError("pivot tail escapes the basis cut")
+    basis = sorted((p for p in paths if p not in normal), key=lambda p: _path_key(q, p))
     index = {p: i for i, p in enumerate(basis)}
 
     e = len(basis)
+    one = field.canon(1)
     structure = field.zeros((e, e, e))
     for i, pi in enumerate(basis):
         for j, pj in enumerate(basis):
@@ -462,19 +562,12 @@ def build_algebra(q: Quiver, relations, field: FieldSpec, max_len: int = 12) -> 
             comp = Path(pj.source, pi.target, pj.arrows + pi.arrows)
             if comp.length >= nilpotency:
                 continue
-            c = coord[comp]
-            row = rows.get(c)
-            if row is None:
+            tail = normal.get(comp)
+            if tail is None:
                 structure[i, j, index[comp]] = one
                 continue
-            # the normal form of a pivot path is minus its row's tail
-            for k, v in row.items():
-                if k == c:
-                    continue
-                tail = desc[k]
-                if tail.length >= nilpotency:
-                    raise CertificateError("pivot tail escapes the basis cut")
-                structure[i, j, index[tail]] = field.canon(-v)
+            for t, c in tail.items():
+                structure[i, j, index[t]] = c
 
     is_monomial = all(len(r.terms) == 1 for r in relations)
     return FiniteDimAlgebra(

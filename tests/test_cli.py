@@ -269,6 +269,15 @@ def test_semt_regular_bimodule_files():
     assert j["complement_q_dim"] == 0
 
 
+def test_semt_field_override_applies_to_both_files():
+    code, j = run_json(
+        ["semt", "kx2.alg", "kx2.alg", "kx2_regular.bim", "kx2_regular.bim", "--field", "3"]
+    )
+    assert code == 0
+    assert j["passed"] is True
+    assert j["first"]["field"] == j["second"]["field"] == "GF(3)"
+
+
 def test_semt_explicit_bimodule_file():
     bim = tmp_file(
         "bimodule reg\ncomponent 1 1 2\n"
@@ -340,6 +349,18 @@ def test_internal_error_exits_one_with_one_line(power):
     assert proc.stderr.startswith("error: internal NoncommutativeStableEnd: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("max_len", ["-1", "0", "1", "2"])
+def test_max_len_below_the_nilpotency_degree_exits_one(max_len):
+    """61B has nilpotency degree 3: a smaller bound is bad input, reported
+    as one line with exit 1."""
+    code, out, err = run(["analyze", "example61B.alg", "--max-len", max_len])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: example61B: ") and err.count("\n") == 1
+    expected = "no nilpotency degree <= 2" if max_len == "2" else f"longer than max_len={max_len}"
+    assert expected in err
 
 
 def test_k0_of_a_catalog_closed_under_extensions():

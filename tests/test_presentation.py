@@ -1,11 +1,16 @@
 """Path algebra construction: bases, normal forms, opposites, admissibility."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path as FilePath
 from random import Random
 
 import numpy as np
 import pytest
 
+from gpktheory import presentation
+from gpktheory.cli import DATA_DIR, load_algebra_file
 from gpktheory.exactla import QQ, CertificateError, FieldSpec
 from gpktheory.morita import tensor_algebra
 from gpktheory.presentation import (
@@ -14,6 +19,7 @@ from gpktheory.presentation import (
     Path,
     Quiver,
     RelationElem,
+    _reverse_path,
     build_algebra,
     enumerate_paths,
     opposite,
@@ -224,6 +230,119 @@ def test_not_admissible_reported():
     q = Quiver.make(["1"], [("x", "1", "1")])
     with pytest.raises(NotAdmissibleWithinBound):
         build_algebra(q, [], FieldSpec(2), max_len=6)
+
+
+def _outcome(q, relations, field, max_len=12):
+    """What build_algebra gives: the algebra's basis, table, Loewy length,
+    flags and bound, or the type and message of what it raised."""
+    try:
+        a = build_algebra(q, relations, field, max_len=max_len)
+    except Exception as err:
+        return type(err), str(err)
+    return a.basis, a.structure.tolist(), a.loewy_length, a.is_monomial, a.max_len
+
+
+def _bounded_outcome(q, relations, field, max_len=12):
+    """_outcome with every input sent through the bounded saturation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentation, "_saturate_graded", presentation._saturate_bounded)
+        return _outcome(q, relations, field, max_len)
+
+
+def _opposite_presentation(q, relations):
+    rels = [RelationElem(tuple((c, _reverse_path(p)) for c, p in r.terms)) for r in relations]
+    return q.reverse(), rels
+
+
+def _load_corpus():
+    path = FilePath(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _homogeneous_presentations():
+    """(name, quiver, relations, field): every shipped file at GF(2), GF(3),
+    GF(5) and GF(7), and every benchmark corpus stratum of seeds 1-3."""
+    out = []
+    for path in sorted(DATA_DIR.glob("*.alg")):
+        af = load_algebra_file(str(path))
+        out += [(f"{af.name}/GF({p})", af.quiver, af.relations, FieldSpec(p)) for p in (2, 3, 5, 7)]
+    corpus = _load_corpus()
+    for seed in (1, 2, 3):
+        rng = Random(seed)
+        for stratum in corpus.generated_strata():
+            pres = corpus.draw_presentation(stratum, rng)
+            q = Quiver.make(pres.vertices, pres.arrows)
+            rels = [RelationElem.from_written(q, terms) for terms in pres.relations]
+            out.append((f"{stratum.key}#{seed}", q, rels, FieldSpec(pres.p)))
+    return out
+
+
+def test_graded_build_equals_the_bounded_saturation():
+    """On length-homogeneous relations, the degree-by-degree saturation
+    gives the bounded saturation's basis, table, Loewy length and flags, or
+    the same exception with the same message; also on each opposite."""
+    cases = _homogeneous_presentations()
+    cases += [(f"{n}^op", *_opposite_presentation(q, rels), f) for n, q, rels, f in cases]
+    built = 0
+    for name, q, rels, field in cases:
+        got = _outcome(q, rels, field)
+        assert got == _bounded_outcome(q, rels, field), name
+        built += len(got) > 2
+    assert len(cases) == 432 and built == 428
+
+
+@pytest.mark.parametrize("name", ["example61B", "example62B", "example61A", "kx2", "semisimple2"])
+def test_graded_build_does_not_follow_the_bound(name):
+    """A homogeneous build stops at its nilpotency degree: at max_len 40,
+    where the bounded saturation would enumerate every path up to length
+    40, it gives the max_len-12 algebra; at max_len -1..2 it gives what the
+    bounded saturation gives."""
+    af = load_algebra_file(f"{name}.alg")
+    q, rels, f = af.quiver, af.relations, af.field
+    at12 = _outcome(q, rels, f)
+    assert _outcome(q, rels, f, max_len=40) == at12[:-1] + (40,)
+    for max_len in (-1, 0, 1, 2):
+        assert _outcome(q, rels, f, max_len) == _bounded_outcome(q, rels, f, max_len), max_len
+
+
+def test_mixed_length_relations_take_the_bounded_route(monkeypatch):
+    """Pins the bounded route's outputs on relations that mix lengths."""
+    routes = []
+
+    def spy(route):
+        def saturate(*args):
+            routes.append(route.__name__)
+            return route(*args)
+        return saturate
+
+    for route in (presentation._saturate_graded, presentation._saturate_bounded):
+        monkeypatch.setattr(presentation, route.__name__, spy(route))
+    # loops x, y with x*y = y*x = 0, x*x = y*y*y and y^4 = 0
+    q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [
+        RelationElem.from_written(q, [(1, ["x", "y"])]),
+        RelationElem.from_written(q, [(1, ["y", "x"])]),
+        RelationElem.from_written(q, [(1, ["x", "x"]), (-1, ["y", "y", "y"])]),
+        RelationElem.from_written(q, [(1, ["y"] * 4)]),
+    ]
+    a = build_algebra(q, rels, GF3)
+    # y*y*y = x*x survives at length 3, so every path of length >= 4 vanishes
+    assert (a.dim, a.loewy_length) == (5, 4)
+    assert [str(p) for p in a.basis] == ["e_1", "x", "y", "x*x", "y*y"]
+    assert (a.element_from_str("y*y*y") == a.element_from_str("x*x")).all()
+    assert not a.is_monomial
+    # the truncation drops x*x*(x*x - y*y*y), so x^4 is never witnessed at 4
+    with pytest.raises(NotAdmissibleWithinBound, match="no nilpotency degree <= 4 witnessed"):
+        build_algebra(q, rels, GF3, max_len=4)
+    loop = Quiver.make(["1"], [("x", "1", "1")])
+    with pytest.raises(NotAdmissibleWithinBound, match="no nilpotency degree <= 12 witnessed"):
+        build_algebra(loop, [RelationElem.from_written(loop, [(1, ["x", "x"]), (-1, ["x"] * 3)])], GF3)
+    assert routes == ["_saturate_bounded"] * 3
 
 
 def test_invalid_relations_rejected():
