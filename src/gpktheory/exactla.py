@@ -384,15 +384,9 @@ def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     out = field.zeros((len(free), ncols))
-    one = 1 if field.char else Fraction(1)
-    for k, f in enumerate(free):
-        out[k, f] = one
-        for i, pc in enumerate(pivots):
-            v = red[i, f]
-            if field.char:
-                out[k, pc] = (-int(v)) % field.char
-            else:
-                out[k, pc] = -v
+    out[np.arange(len(free)), free] = field.canon(1)
+    minus = -red[:, free].T
+    out[:, pivots] = minus % field.char if field.char else minus
     return out
 
 
@@ -441,18 +435,19 @@ class LinearSolver:
         self.k = k
         self.transform = red[:, k:]
         self.pivots = piv
+        # pivots ascend, so the rows pivoting in a come before those
+        # pivoting in the identity block
+        self._n_solved = sum(pc < k for pc in piv)
+        self._solved_cols = np.array(piv[: self._n_solved], dtype=np.intp)
 
     def solve(self, b: np.ndarray):
         """One solution of a x = b (free variables 0), or None."""
         f = self.field
         tb = f.matmul(self.transform, b.reshape(-1, 1)).reshape(-1)
+        if np.any(tb[self._n_solved:] != 0):
+            return None
         x = f.zeros((self.k,))
-        for i, pc in enumerate(self.pivots):
-            if pc >= self.k:
-                if tb[i] != 0:
-                    return None
-            else:
-                x[pc] = tb[i]
+        x[self._solved_cols] = tb[: self._n_solved]
         return x
 
 

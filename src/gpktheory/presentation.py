@@ -471,10 +471,16 @@ def _saturate_bounded(q: Quiver, relations, field: FieldSpec, max_len: int):
     coord = {p: i for i, p in enumerate(desc)}
     ideal = _Echelon(field)
     work = []
+
+    def add(vec):
+        # queue the reduced row, whose products can stay within the bound
+        # where those of vec have a longer term
+        lead = ideal.add(vec)
+        if lead is not None:
+            work.append(dict(ideal.rows[lead]))
+
     for r in relations:
-        vec = _relation_vec(r, coord, field)
-        if ideal.add(vec) is not None:
-            work.append(vec)
+        add(_relation_vec(r, coord, field))
     seen = 0
     while seen < len(work):
         vec = work[seen]
@@ -482,8 +488,8 @@ def _saturate_bounded(q: Quiver, relations, field: FieldSpec, max_len: int):
         for a in q.arrows:
             for side in ("left", "right"):
                 prod = _arrow_multiple(vec, desc, coord, a, side, field, max_len)
-                if prod and ideal.add(prod) is not None:
-                    work.append(prod)
+                if prod:
+                    add(prod)
 
     # admissibility witness: least N with every length-N path a singleton pivot
     by_len = {}

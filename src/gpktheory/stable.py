@@ -6,6 +6,7 @@ decided against the projective cover of the codomain (any map from a
 projective lifts along the cover epi, so the cover suffices).
 """
 
+import copy
 from dataclasses import dataclass
 from itertools import chain
 
@@ -46,7 +47,12 @@ def _require_gp(m: Representation):
 
 class StableHomSpace:
     """Hom(m, n) together with the subspace of maps factoring through
-    projectives, presented so residues are canonical coordinates."""
+    projectives, presented so residues are canonical coordinates.
+
+    Built through `_space_cache`, which memoizes one space per pair of
+    module byte strings and hands other objects with those bytes a
+    `rehome`d view; neither the stored space nor a view is mutated after
+    construction."""
 
     def __init__(self, m: Representation, n: Representation):
         if m.algebra is not n.algebra:
@@ -58,12 +64,11 @@ class StableHomSpace:
         f = self.field
         h = self.hom.dim
         if h:
-            self._basis_mat = np.stack(
+            basis_mat = np.stack(
                 [b.as_vector() for b in self.hom.basis]
             ).astype(np.int64 if f.char else object)
-            self._coord_solver = exactla.LinearSolver(f, self._basis_mat.T)
+            self._coord_solver = exactla.LinearSolver(f, basis_mat.T)
         else:
-            self._basis_mat = f.zeros((0, 0))
             self._coord_solver = None
         cover, epi = projective_cover(n)
         lift = hom_basis(m, cover)
@@ -110,6 +115,16 @@ class StableHomSpace:
     def coset_basis(self):
         return [self.hom.basis[j] for j in self.free_cols]
 
+    def rehome(self, m: Representation, n: Representation) -> "StableHomSpace":
+        """This space on m and n, which have the bytes of its domain and
+        codomain: a shallow copy whose hom basis wraps the same blocks as
+        maps m -> n, sharing the factorizations read-only.  Nothing of self
+        is changed, so a memoized space can serve modules built apart."""
+        view = copy.copy(self)
+        view.domain, view.codomain = m, n
+        view.hom = HomSpace(m, n, tuple(Morphism(m, n, dict(b.blocks)) for b in self.hom.basis))
+        return view
+
 
 @dataclass
 class StableMorphism:
@@ -139,13 +154,16 @@ class StableMorphism:
 
 
 def _space_cache(m: Representation, n: Representation) -> StableHomSpace:
-    cache = m.algebra._caches.setdefault("stable_spaces", {})
-    key = (m.key(), n.key())
-    space = cache.get(key)
-    if space is None or space.domain is not m or space.codomain is not n:
-        space = StableHomSpace(m, n)
-        cache[key] = space
-    return space
+    """The StableHomSpace of m and n, memoized per algebra on the modules'
+    bytes.  The stored space is built on the first modules asked for and is
+    never mutated; for other objects with the same bytes a rehomed view is
+    returned, so every morphism it hands out runs from this m to this n."""
+    if m.algebra is not n.algebra:
+        raise ValueError("modules over different algebras")
+    space = m.algebra.memo("stable_spaces", (m.key(), n.key()), lambda: StableHomSpace(m, n))
+    if space.domain is m and space.codomain is n:
+        return space
+    return space.rehome(m, n)
 
 
 def stable_hom(m: Representation, n: Representation):

@@ -268,3 +268,41 @@ def reference_hom_element(hs, coeffs):
         if f.canon(c) != 0:
             out = out.add(b.scale(c))
     return out
+
+
+# references for the vectorized kernel and solver fills -----------------------
+
+
+def reference_kernel(field, a):
+    """exactla.kernel with its fill written as one loop per free column and
+    pivot: entry 1 at free column f, -R[i, f] at each pivot column."""
+    from fractions import Fraction
+
+    from gpktheory.exactla import rref
+
+    ncols = a.shape[1]
+    red, pivots = rref(field, a)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    out = field.zeros((len(free), ncols))
+    one = 1 if field.char else Fraction(1)
+    for k, f in enumerate(free):
+        out[k, f] = one
+        for i, pc in enumerate(pivots):
+            v = red[i, f]
+            out[k, pc] = (-int(v)) % field.char if field.char else -v
+    return out
+
+
+def reference_solve(solver, b):
+    """LinearSolver.solve with one loop over the pivots: a nonzero entry at a
+    pivot in the identity block means b is outside the column space."""
+    f = solver.field
+    tb = f.matmul(solver.transform, b.reshape(-1, 1)).reshape(-1)
+    x = f.zeros((solver.k,))
+    for i, pc in enumerate(solver.pivots):
+        if pc >= solver.k:
+            if tb[i] != 0:
+                return None
+        else:
+            x[pc] = tb[i]
+    return x

@@ -396,3 +396,51 @@ def test_sampled_branch_matches_the_old_generators(p, n):
             dropped += n + tries - len(vecs)
     if (p, n) == (0, 1):
         assert dropped  # zero draws occur and are dropped
+
+
+def _random_matrix(f, rng, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank`, so that kernels and
+    inconsistent right-hand sides both occur."""
+    left = f.zeros((rows, rank))
+    right = f.zeros((rank, cols))
+    for m in (left, right):
+        for idx in np.ndindex(m.shape):
+            m[idx] = f.random_scalar(rng)
+    return f.matmul(left, right) if rank else f.zeros((rows, cols))
+
+
+def _identical(x, y):
+    """Equal dtype, shape and entries, the entries' types included."""
+    if x is None or y is None:
+        return x is None and y is None
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and [(type(u), u) for u in x.reshape(-1)] == [(type(v), v) for v in y.reshape(-1)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 0])
+def test_vectorized_fills_match_the_loops(p):
+    """kernel and LinearSolver.solve give the arrays of the loop references
+    on random low-rank matrices, empty shapes included."""
+    from builders import reference_kernel, reference_solve
+
+    f = FieldSpec(p)
+    rng = Random(f"fills/{p}")
+    outcomes = set()
+    for _ in range(300 if p else 60):
+        rows, cols = rng.randrange(7), rng.randrange(7)
+        a = _random_matrix(f, rng, rows, cols, rng.randrange(min(rows, cols) + 1))
+        ker = kernel(f, a)
+        assert _identical(ker, reference_kernel(f, a))
+        solver = exactla.LinearSolver(f, a)
+        x = f.zeros((cols,))
+        for idx in range(cols):
+            x[idx] = f.random_scalar(rng)
+        b_random = f.zeros((rows,))
+        for idx in range(rows):
+            b_random[idx] = f.random_scalar(rng)
+        b_image = f.matmul(a, x) if rows and cols else f.zeros((rows,))
+        for b in (b_image, b_random):
+            got = solver.solve(b)
+            assert _identical(got, reference_solve(solver, b))
+            outcomes.add((got is None, len(ker) > 0))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}

@@ -1,4 +1,5 @@
-"""The per-algebra memo of decompositions and isomorphism tests.
+"""The per-algebra memo of decompositions, isomorphism tests and stable
+Hom spaces.
 
 `FiniteDimAlgebra.memo` reuses a result only for byte-identical modules and
 the same seed in the same algebra; these tests compare every memoized
@@ -19,10 +20,12 @@ from gpktheory.rep import (
     decompose,
     direct_sum,
     ext1_class_reps,
+    identity_morphism,
     is_isomorphic,
     projective,
     simple,
 )
+from gpktheory.stable import StableHomSpace, _space_cache, is_weakly_equivalent, stable_hom
 
 from builders import alg61a, alg61b, alg62a, alg62b, loop_square_zero, seeded_sums, twisted
 
@@ -154,3 +157,105 @@ def test_k0_harvest_evaluates_every_row(monkeypatch, make):
     cat = gp_catalog(a)
     data = build_k0_input(a, cat)
     assert len(calls) == expected == len(data.matrix.rows)
+
+
+# stable Hom spaces ----------------------------------------------------------
+
+
+def _count_space_builds(monkeypatch):
+    """A list that gets one entry per StableHomSpace built."""
+    built = []
+    inner = StableHomSpace.__init__
+
+    def counted(self, m, n):
+        built.append((m, n))
+        inner(self, m, n)
+
+    monkeypatch.setattr(StableHomSpace, "__init__", counted)
+    return built
+
+
+def _stably_inverse(f, g):
+    """g f and f g are the identity modulo maps through projectives."""
+    def is_identity(h, x):
+        dim, basis = stable_hom(x, x)
+        return dim == 0 or basis[0].space.is_stably_zero(h.sub(identity_morphism(x)))
+
+    return is_identity(g.compose(f), f.domain) and is_identity(f.compose(g), f.codomain)
+
+
+def _gp_pair(a, rng):
+    """x and a twisted y = x + a projective: stably isomorphic, distinct bytes."""
+    items = gp_catalog(a).items
+    x = direct_sum([items[0], projective(a, a.quiver.vertices[0])])[0]
+    y = twisted(direct_sum([items[0], projective(a, a.quiver.vertices[-1])])[0], rng)
+    return x, y
+
+
+def test_equal_bytes_share_one_stable_space_on_the_callers_modules(monkeypatch):
+    a = alg61b(FieldSpec(3))
+    x, y = _gp_pair(a, Random(3))
+    built = _count_space_builds(monkeypatch)
+    first = _space_cache(x, y)
+    x2, y2 = _copy(x), _copy(y)
+    second = _space_cache(x2, y2)
+    assert len(built) == 1
+    assert first.domain is x and first.codomain is y
+    assert second.domain is x2 and second.codomain is y2
+    assert second.hom.domain is x2 and second.hom.codomain is y2
+    assert second.hom.dim == first.hom.dim > 0
+    for b2, b in zip(second.hom.basis, first.hom.basis):
+        assert b2.domain is x2 and b2.codomain is y2
+        assert all(b2.blocks[v] is b.blocks[v] for v in b.blocks)
+    # the stored space is untouched and still served to its own modules
+    assert _space_cache(x, y) is first and all(b.domain is x for b in first.hom.basis)
+    assert (second.dim, second.free_cols) == (first.dim, first.free_cols)
+    assert len(built) == 1
+
+
+def test_weak_equivalence_on_copies_hands_back_maps_between_the_copies(monkeypatch):
+    a = alg61a(FieldSpec(5))
+    x, y = _gp_pair(a, Random(4))
+    ok, (f, g) = is_weakly_equivalent(x, y)
+    assert ok and _stably_inverse(f, g)
+    built = _count_space_builds(monkeypatch)
+    x2, y2 = _copy(x), _copy(y)
+    ok2, (f2, g2) = is_weakly_equivalent(x2, y2)
+    assert not built  # a second pass over equal bytes builds no space
+    assert ok2
+    assert f2.domain is x2 and f2.codomain is y2 and g2.domain is y2 and g2.codomain is x2
+    assert _stably_inverse(f2, g2)
+    assert all((f2.blocks[v] == f.blocks[v]).all() for v in f.blocks)
+
+
+@pytest.mark.parametrize("make", [alg61a, alg61b, alg62a])
+def test_weak_equivalence_answers_match_the_uncached_search(monkeypatch, make):
+    a = make(FieldSpec(3))
+    rng = Random(f"stable/{make.__name__}")
+    modules = seeded_sums(a, rng)
+    modules += [_copy(m) for m in modules]
+    for seed, x in enumerate(modules):
+        for y in modules:
+            ref_ok, ref_wit = _uncached(monkeypatch, is_weakly_equivalent, x, y, seed)
+            ok, wit = is_weakly_equivalent(x, y, seed)
+            assert ok == ref_ok
+            if not ok:
+                assert wit is None
+                continue
+            for got, want in zip(wit, ref_wit):
+                assert got.domain is want.domain and got.codomain is want.codomain
+                assert all((got.blocks[v] == want.blocks[v]).all() for v in want.blocks)
+            assert _stably_inverse(*wit)
+
+
+def test_equal_bytes_over_another_algebra_still_raise():
+    a, b = alg61a(FieldSpec(5)), alg61a(FieldSpec(5))
+    m = projective(a, "1")
+    other = Representation(b, dict(m.dims), dict(m.maps))
+    assert other.key() == m.key()
+    _space_cache(m, m)
+    with pytest.raises(ValueError, match="different algebras"):
+        _space_cache(m, other)
+    with pytest.raises(ValueError, match="different algebras"):
+        _space_cache(other, m)
+    assert "stable_spaces" not in b._caches

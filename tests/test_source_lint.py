@@ -1,6 +1,7 @@
 """Source checks on the package: no assert statements (they vanish under
-`python -O`), and only exactla compares against EXHAUSTIVE_CAP (one
-exhaustive-or-sampled policy)."""
+`python -O`), only exactla compares against EXHAUSTIVE_CAP (one
+exhaustive-or-sampled policy), and per-algebra caches go through the one
+memo."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,17 @@ def test_only_exactla_compares_against_the_exhaustive_cap():
         if isinstance(node, ast.Compare) and "EXHAUSTIVE_CAP" in _names(node)
     ]
     assert not found, f"EXHAUSTIVE_CAP compared outside exactla: {found}"
+
+
+def test_algebra_caches_are_read_only_by_the_memo_and_the_tensor_cache():
+    """`._caches` belongs to FiniteDimAlgebra.memo (presentation.py); the
+    one other reader is morita's tensor-algebra cache, keyed by the identity
+    of the algebras rather than by bytes.  Every other cache is a memo site."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name not in ("presentation.py", "morita.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_caches"
+    ]
+    assert not found, f"._caches read outside the memo: {found}"

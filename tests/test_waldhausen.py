@@ -293,7 +293,7 @@ def test_line_search_matches_full_enumeration(monkeypatch):
 
 
 def test_verify_exact_rejects_non_exact_pairs():
-    data = cached_wdata("61a_gf5")
+    data = cached_wdata("kx2_gf2")
     c = next(c for c in data.cofibrations if not data.objects[c.src].is_zero and not c.coker.is_zero)
     x, y = c.mono.domain, c.mono.codomain
     waldhausen._verify_exact(c.mono, c.quotient)
