@@ -8,7 +8,6 @@ give byte-identical bases and every caller sees deterministic output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -392,8 +391,8 @@ def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
 
 def rank_kernel(m: MatF):
     """Rank and canonical kernel basis of a matrix over a field."""
-    red, pivots = rref(m.field, m.a)
-    return len(pivots), kernel(m.field, m.a)
+    ker = kernel(m.field, m.a)
+    return m.a.shape[1] - len(ker), ker
 
 
 def solve_raw(field: FieldSpec, a: np.ndarray, b: np.ndarray):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exactla
 from .exactla import CertificateError
 from .gorenstein import GPCatalog, gp_catalog
 from .ktheory import k0_gorenstein, k1_gorenstein
@@ -50,6 +49,7 @@ from .rep import (
     decompose,
     direct_sum,
     hom_basis,
+    hom_family_rep,
     is_isomorphic,
     is_projective,
     projective,
@@ -239,13 +239,14 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
     the factors' tables, (b (x) o)(b' (x) o') = bb' (x) oo'.
     Construction runs certify(), and `_certify_presentation` checks that the
     arrows are basis elements, every basis path is the product of its
-    arrows, and every relation vanishes.  The result is cached in b's
-    per-algebra storage, keyed by a.
+    arrows, and every relation vanishes.  The result is memoized in b's
+    per-algebra memo, keyed by a itself: algebras define no __eq__, so the
+    key hashes by identity.
     """
-    cache = b._caches.setdefault("tensor", {})
-    hit = cache.get(id(a))
-    if hit is not None and hit[0] is a:
-        return hit[1]
+    return b.memo("tensor", a, lambda: _tensor_algebra(b, a))
+
+
+def _tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra:
     if b.field.char != a.field.char:
         raise AlgebraMismatch("the factors are defined over different fields")
     f = b.field
@@ -283,7 +284,6 @@ def tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebra
         b.loewy_length + a.loewy_length,
     )
     _certify_presentation(t)
-    cache[id(a)] = (a, t)
     return t
 
 
@@ -550,38 +550,6 @@ def _row_module(m: Bimodule, u: str) -> Representation:
     return Representation(op, dims, maps, check=True)
 
 
-def _hom_coords(f, basis_mat, morphism):
-    coeffs = exactla.solve_raw(f, basis_mat.T, morphism.as_vector())
-    if coeffs is None:
-        raise CertificateError("morphism escapes the hom space")
-    return coeffs
-
-
-def _hom_family_rep(t, f, homs, dims, arrow_actions):
-    """Assemble a representation from hom-space components and their actions.
-
-    homs maps tensor vertices to HomSpaces, arrow_actions maps arrow labels
-    to (src vertex, tgt vertex, morphism-level action); each action is
-    expressed in the chosen hom bases by coordinate solving.
-    """
-    basis_mats = {}
-    for tv, hs in homs.items():
-        if hs.dim:
-            stacked = np.stack([bm.as_vector() for bm in hs.basis])
-            basis_mats[tv] = stacked.astype(np.int64 if f.char else object)
-    maps = {}
-    for label, (src, tgt, act) in arrow_actions.items():
-        mat = f.zeros((dims[tgt], dims[src]))
-        for col, g in enumerate(homs[src].basis):
-            img = act(g)
-            if dims[tgt]:
-                mat[:, col] = _hom_coords(f, basis_mats[tgt], img)
-            elif not img.is_zero:
-                raise CertificateError("action leaves a zero hom space")
-        maps[label] = mat
-    return Representation(t, dims, maps, check=True)
-
-
 def left_dual(m: Bimodule) -> Bimodule:
     """Left-linear maps of the bimodule into the left regular module.
 
@@ -590,17 +558,14 @@ def left_dual(m: Bimodule) -> Bimodule:
     (right algebra, left algebra).
     """
     b, a = m.left, m.right
-    f = b.field
     t = tensor_algebra(a, b)
     cols = {v: _column_module(m, v) for v in a.quiver.vertices}
     projs = {u: projective(b, u) for u in b.quiver.vertices}
-    homs = {}
-    dims = {}
-    for v in a.quiver.vertices:
-        for u in b.quiver.vertices:
-            hs = hom_basis(cols[v], projs[u])
-            homs[_tv(v, u)] = hs
-            dims[_tv(v, u)] = hs.dim
+    homs = {
+        _tv(v, u): hom_basis(cols[v], projs[u])
+        for v in a.quiver.vertices
+        for u in b.quiver.vertices
+    }
     actions = {}
     for al in a.quiver.arrows:
         w, v = al.source, al.target
@@ -625,7 +590,7 @@ def left_dual(m: Bimodule) -> Bimodule:
                 _tv(v, u0),
                 lambda g, r=rho: r.compose(g),
             )
-    return Bimodule(a, b, _hom_family_rep(t, f, homs, dims, actions))
+    return Bimodule(a, b, hom_family_rep(t, homs, actions))
 
 
 def right_dual(m: Bimodule) -> Bimodule:
@@ -636,18 +601,15 @@ def right_dual(m: Bimodule) -> Bimodule:
     bimodule over (right algebra, left algebra), comparable with left_dual.
     """
     b, a = m.left, m.right
-    f = b.field
     t = tensor_algebra(a, b)
     op = opposite(a)
     rows = {u: _row_module(m, u) for u in b.quiver.vertices}
     projs = {v: projective(op, v) for v in a.quiver.vertices}
-    homs = {}
-    dims = {}
-    for v in a.quiver.vertices:
-        for u in b.quiver.vertices:
-            hs = hom_basis(rows[u], projs[v])
-            homs[_tv(v, u)] = hs
-            dims[_tv(v, u)] = hs.dim
+    homs = {
+        _tv(v, u): hom_basis(rows[u], projs[v])
+        for v in a.quiver.vertices
+        for u in b.quiver.vertices
+    }
     actions = {}
     for al in a.quiver.arrows:
         w, v = al.source, al.target
@@ -671,7 +633,7 @@ def right_dual(m: Bimodule) -> Bimodule:
                 _tv(v, u0),
                 lambda g, la=left_act: g.compose(la),
             )
-    return Bimodule(a, b, _hom_family_rep(t, f, homs, dims, actions))
+    return Bimodule(a, b, hom_family_rep(t, homs, actions))
 
 
 @dataclass

@@ -446,6 +446,47 @@ class HomSpace:
             for v, rows in self._stacked.items()
         })
 
+    @cached_property
+    def _coord_rows(self):
+        """(rows, cols): the basis's `as_vector()`s stacked, and per row a
+        unit column, where that row is 1 and every other row is 0.
+        `hom_basis` takes its basis from `exactla.kernel`, which puts a unit
+        column in each row (its free column); any subset of it keeps them."""
+        f = self.domain.field
+        if not self.basis:
+            width = sum(self.codomain.dims[v] * self.domain.dims[v] for v in self.domain.dims)
+            return f.zeros((0, width)), np.zeros(0, dtype=np.intp)
+        rows = np.stack([b.as_vector() for b in self.basis])
+        unit = (rows == 1) & (np.count_nonzero(rows, axis=0) == 1)
+        if not unit.any(axis=1).all():
+            raise CertificateError("a hom basis row has no unit column")
+        return rows, unit.argmax(axis=1)
+
+    def coords(self, vecs) -> np.ndarray:
+        """The coordinates in this basis of each row of vecs (maps flattened
+        by `as_vector()`), read at the unit columns; one product checks that
+        they give vecs back, so a row outside the span raises."""
+        f = self.domain.field
+        rows, cols = self._coord_rows
+        vecs = f.array(vecs)
+        out = vecs[:, cols]
+        if not (f.matmul(out, rows) == vecs).all():
+            raise CertificateError("a map escapes the hom space")
+        return out
+
+    def coords_of(self, maps) -> np.ndarray:
+        """`coords` of the maps domain -> codomain, one row per map."""
+        vecs = [g.as_vector() for g in maps]
+        return self.coords(np.stack(vecs) if vecs else self._coord_rows[0][:0])
+
+    def rehome(self, m: Representation, n: Representation) -> "HomSpace":
+        """This space as maps m -> n, for m and n with the bytes of its domain
+        and codomain: the basis wraps the same blocks and shares the stacked
+        coordinate rows."""
+        view = HomSpace(m, n, tuple(Morphism(m, n, dict(b.blocks)) for b in self.basis))
+        view._coord_rows = self._coord_rows
+        return view
+
 
 def _hom_system(m: Representation, n: Representation):
     """Coefficient matrix of the commuting equations, unknowns = stacked vec(F_v)."""
@@ -642,25 +683,9 @@ def ext_data(m: Representation, n: Representation, degree: int):
     hs = hom_basis(omega, n)
     if hs.dim == 0:
         return 0, hs, np.zeros((0, 0))
-    f = m.field
     # image: maps omega -> n extending to p_last, i.e. g . incl for g: p_last -> n
-    gs = hom_basis(p_last, n)
-    img_rows = []
-    basis_mat = np.stack([b.as_vector() for b in hs.basis]).astype(
-        np.int64 if f.char else object
-    )
-    for g in gs.basis:
-        comp = g.compose(incl)
-        coeffs = exactla.solve_raw(f, basis_mat.T, comp.as_vector())
-        if coeffs is None:
-            raise CertificateError("restricted map escapes the hom space")
-        img_rows.append(coeffs)
-    img = (
-        np.stack(img_rows)
-        if img_rows
-        else f.zeros((0, hs.dim))
-    )
-    rank = exactla.rank_of(f, img) if len(img_rows) else 0
+    img = hs.coords_of(g.compose(incl) for g in hom_basis(p_last, n).basis)
+    rank = exactla.rank_of(m.field, img)
     return hs.dim - rank, hs, img
 
 
@@ -760,38 +785,29 @@ def star(m: Representation) -> Representation:
     postcomposition with right multiplication P(w) -> P(u).
     """
     a = m.algebra
-    f = m.field
-    op = opposite(a)
     projs = {v: projective(a, v) for v in a.quiver.vertices}
     homs = {v: hom_basis(m, projs[v]) for v in a.quiver.vertices}
-    dims = {v: homs[v].dim for v in a.quiver.vertices}
-    basis_mats = {
-        v: (
-            np.stack([b.as_vector() for b in homs[v].basis]).astype(
-                np.int64 if f.char else object
-            )
-            if homs[v].dim
-            else None
-        )
-        for v in a.quiver.vertices
-    }
-    maps = {}
+    actions = {}
     for arw in a.quiver.arrows:
         u, w = arw.source, arw.target
         # right multiplication by the arrow: P(w) -> P(u)
         rho = _right_mult_on_projectives(projs[w], projs[u], arw.label)
-        mat = f.zeros((dims[u], dims[w]))
-        for col, fb in enumerate(homs[w].basis):
-            comp = rho.compose(fb)
-            if dims[u]:
-                coeffs = exactla.solve_raw(f, basis_mats[u].T, comp.as_vector())
-                if coeffs is None:
-                    raise CertificateError("restricted map escapes Hom(m, P)")
-                mat[:, col] = coeffs
-            elif not comp.is_zero:
-                raise CertificateError("restricted map into a zero Hom(m, P) is nonzero")
-        maps[arw.label] = mat
-    return Representation(op, dims, maps, check=True)
+        actions[arw.label] = (w, u, lambda g, r=rho: r.compose(g))
+    return hom_family_rep(opposite(a), homs, actions)
+
+
+def hom_family_rep(t: FiniteDimAlgebra, homs: dict, arrow_actions: dict) -> Representation:
+    """The t-module with the hom space homs[v] at each vertex v.
+
+    arrow_actions maps each arrow label to (source vertex, target vertex,
+    action on maps); the arrow's matrix holds the coordinates, in the target
+    hom basis, of the action on each source basis map.
+    """
+    maps = {
+        label: homs[tgt].coords_of(act(g) for g in homs[src].basis).T
+        for label, (src, tgt, act) in arrow_actions.items()
+    }
+    return Representation(t, {v: hs.dim for v, hs in homs.items()}, maps, check=True)
 
 
 def _right_mult_on_projectives(pw: Representation, pu: Representation, label: str) -> Morphism:
@@ -827,11 +843,11 @@ def cyclic_module(a: FiniteDimAlgebra, x):
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: int = 128):
     """(answer, witness): searches for an invertible module map.
 
-    Positive answers are certified by the witness.  Negative answers are
-    certified when the candidate space is exhausted or an additive
-    invariant separates the modules.  The search is memoized per algebra
-    on the modules' bytes, the seed and the tries; the witness is always
-    returned as a map from this m to this n.
+    Positive answers are certified by the witness.  A negative answer is
+    certified when the dimension vectors differ or the candidate search was
+    exhaustive; a negative from a sampled search is not certified.  The
+    search is memoized per algebra on the modules' bytes, the seed and the
+    tries; the witness is always returned as a map from this m to this n.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
@@ -853,8 +869,8 @@ def _find_isomorphism(m: Representation, n: Representation, seed: int, tries: in
         return False, None
     # exhaustive: isomorphy survives nonzero scalars, so one vector per line
     # suffices.  Sampled: isomorphisms, when they exist, fill a GL-sized
-    # fraction of the hom space, so a seeded random sweep is reliable;
-    # negatives are backed by the additive invariant battery
+    # fraction of the hom space, so a seeded random sweep is likely to find
+    # one, but a sampled negative is not certified
     coeffs, _ = coeff_vectors(m.field, hs.dim, seed=seed, tries=tries)
     for c in coeffs:
         cand = hs.element(c)
@@ -1102,32 +1118,22 @@ def _end_algebra(ends: HomSpace) -> StructureAlgebra:
 
     The products b_i b_j are formed by one stacked matrix product per
     vertex, in chunks of rows i that keep each temporary under
-    _STACK_BYTES.  The hom basis is `exactla.kernel`'s: each b_i is 1 at a
-    column where every other b_j is 0, so coordinates are read at those
-    columns, and every product is checked to lie in the hom space.
+    _STACK_BYTES, and read back by `HomSpace.coords`, which checks that
+    every product lies in the hom space.
     """
     m = ends.domain
     p = m.field.char
     e = ends.dim
     verts = m.algebra.quiver.vertices
-    basis = np.stack([b.as_vector() for b in ends.basis])
-    cols = ((basis == 1) & (np.count_nonzero(basis, axis=0) == 1)).argmax(axis=1)
-
-    def coords(vecs):
-        out = vecs[:, cols]
-        if ((out @ basis) % p != vecs).any():
-            raise CertificateError("a product escapes End(m)")
-        return out
-
     blocks = {v: np.stack([b.blocks[v] for b in ends.basis]) for v in verts}
     table = np.zeros((e, e, e), dtype=np.int64)
-    chunk = max(1, _STACK_BYTES // (8 * e * basis.shape[1]))
+    chunk = max(1, _STACK_BYTES // (8 * e * ends._coord_rows[0].shape[1]))
     for start in range(0, e, chunk):
         rows = slice(start, start + chunk)
         prods = [(blocks[v][rows, None] @ blocks[v]) % p for v in verts]
         flat = np.concatenate([b.reshape(b.shape[0] * e, -1) for b in prods], axis=1)
-        table[rows] = coords(flat).reshape(-1, e, e)
-    unit = coords(identity_morphism(m).as_vector()[None, :])[0]
+        table[rows] = ends.coords(flat).reshape(-1, e, e)
+    unit = ends.coords_of([identity_morphism(m)])[0]
     return StructureAlgebra(m.field, table, unit)
 
 

@@ -49,10 +49,10 @@ class StableHomSpace:
     """Hom(m, n) together with the subspace of maps factoring through
     projectives, presented so residues are canonical coordinates.
 
-    Built through `_space_cache`, which memoizes one space per pair of
-    module byte strings and hands other objects with those bytes a
-    `rehome`d view; neither the stored space nor a view is mutated after
-    construction."""
+    Hom coordinates are read by `HomSpace.coords`.  Built through
+    `_space_cache`, which memoizes one space per pair of module byte
+    strings and hands other objects with those bytes a `rehome`d view;
+    neither the stored space nor a view is mutated after construction."""
 
     def __init__(self, m: Representation, n: Representation):
         if m.algebra is not n.algebra:
@@ -61,52 +61,26 @@ class StableHomSpace:
         self.codomain = n
         self.field = m.field
         self.hom = hom_basis(m, n)
-        f = self.field
-        h = self.hom.dim
-        if h:
-            basis_mat = np.stack(
-                [b.as_vector() for b in self.hom.basis]
-            ).astype(np.int64 if f.char else object)
-            self._coord_solver = exactla.LinearSolver(f, basis_mat.T)
-        else:
-            self._coord_solver = None
         cover, epi = projective_cover(n)
         lift = hom_basis(m, cover)
-        rows = []
-        for g in lift.basis:
-            rows.append(self._hom_coords(epi.compose(g)))
-        if rows:
-            mat = f.array(rows)
-            self._factor_rows, self._pivots = exactla.rref(f, mat)
-        else:
-            self._factor_rows, self._pivots = f.zeros((0, h)), []
+        rows = self.hom.coords_of(epi.compose(g) for g in lift.basis)
+        self._factor_rows, self._pivots = exactla.rref(self.field, rows)
         pivset = set(self._pivots)
-        self.free_cols = [j for j in range(h) if j not in pivset]
+        self.free_cols = [j for j in range(self.hom.dim) if j not in pivset]
         self.dim = len(self.free_cols)
 
-    def _hom_coords(self, morphism: Morphism):
-        vec = morphism.as_vector()
-        if self.hom.dim:
-            coeffs = self._coord_solver.solve(vec)
-        else:
-            coeffs = None if np.any(vec != 0) else self.field.zeros((0,))
-        if coeffs is None:
-            raise ValueError("morphism escapes the hom space")
-        return coeffs
-
-    def residue(self, morphism: Morphism):
-        """Canonical residue of the hom coordinates modulo factoring maps."""
+    def quotient_rows(self, maps) -> np.ndarray:
+        """Coordinates of each map's stable class on the coset basis, one row
+        per map: the residue of its hom coordinates modulo the factoring
+        rows, which are fully reduced, so one product with the coordinates
+        at their pivots clears every pivot."""
         f = self.field
-        vec = self._hom_coords(morphism).copy()
-        for row, p in zip(self._factor_rows, self._pivots):
-            c = vec[p]
-            if c != 0:
-                vec = f.sub(vec, f.scale(c, row))
-        return vec
+        vecs = self.hom.coords_of(maps)
+        residues = f.sub(vecs, f.matmul(vecs[:, self._pivots], self._factor_rows))
+        return residues[:, self.free_cols]
 
     def quotient_coords(self, morphism: Morphism):
-        vec = self.residue(morphism)
-        return vec[self.free_cols] if self.hom.dim else vec
+        return self.quotient_rows([morphism])[0]
 
     def is_stably_zero(self, morphism: Morphism) -> bool:
         vec = self.quotient_coords(morphism)
@@ -117,12 +91,13 @@ class StableHomSpace:
 
     def rehome(self, m: Representation, n: Representation) -> "StableHomSpace":
         """This space on m and n, which have the bytes of its domain and
-        codomain: a shallow copy whose hom basis wraps the same blocks as
-        maps m -> n, sharing the factorizations read-only.  Nothing of self
-        is changed, so a memoized space can serve modules built apart."""
+        codomain: a shallow copy whose hom space is `HomSpace.rehome`d to
+        m -> n, sharing its coordinate rows and the factoring rows
+        read-only.  Nothing of self is changed, so a memoized space can
+        serve modules built apart."""
         view = copy.copy(self)
         view.domain, view.codomain = m, n
-        view.hom = HomSpace(m, n, tuple(Morphism(m, n, dict(b.blocks)) for b in self.hom.basis))
+        view.hom = self.hom.rehome(m, n)
         return view
 
 
@@ -208,29 +183,17 @@ def _solve_stable_inverse(f_mor: Morphism, end_m: StableHomSpace, end_n: StableH
     if back.hom.dim == 0:
         g = zero_morphism(n, m)
         return g if _stably_inverse(f_mor, g, end_m, end_n) else None
-    cols = []
-    for b in back.hom.basis:
-        left = end_m.quotient_coords(b.compose(f_mor))
-        right = end_n.quotient_coords(f_mor.compose(b))
-        cols.append(np.concatenate([left, right]))
-    mat = field.array(cols).T if cols else field.zeros((0, 0))
-    rhs = np.concatenate(
-        [
-            end_m.quotient_coords(identity_morphism(m)),
-            end_n.quotient_coords(identity_morphism(n)),
-        ]
-    )
-    if mat.size == 0 and np.any(rhs != 0):
-        return None
+    # one stacked read per end space: the composites with each basis map of
+    # back, then the identity
+    basis = back.hom.basis
+    left = end_m.quotient_rows([b.compose(f_mor) for b in basis] + [identity_morphism(m)])
+    right = end_n.quotient_rows([f_mor.compose(b) for b in basis] + [identity_morphism(n)])
+    mat = np.concatenate([left[:-1], right[:-1]], axis=1).T
+    rhs = np.concatenate([left[-1], right[-1]])
     sol = exactla.solve_raw(field, mat, rhs)
     if sol is None:
         return None
-    g = None
-    for c, b in zip(sol, back.hom.basis):
-        term = b.scale(c)
-        g = term if g is None else g.add(term)
-    if g is None:
-        g = zero_morphism(n, m)
+    g = back.hom.element(sol)
     if not _stably_inverse(f_mor, g, end_m, end_n):
         raise CertificateError("solved stable inverse is not inverse")
     return g
@@ -363,10 +326,8 @@ class StableEndAlgebra(exactla.StructureAlgebra):
         self.basis = self.space.coset_basis()
         f = g.field
         dim = self.space.dim
-        structure = f.zeros((dim, dim, dim))
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
-                structure[i][j] = self.space.quotient_coords(bi.compose(bj))
+        products = [bi.compose(bj) for bi in self.basis for bj in self.basis]
+        structure = self.space.quotient_rows(products).reshape(dim, dim, dim)
         super().__init__(f, structure, self.space.quotient_coords(identity_morphism(g)))
         self.certify()
 

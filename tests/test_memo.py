@@ -207,6 +207,8 @@ def test_equal_bytes_share_one_stable_space_on_the_callers_modules(monkeypatch):
     for b2, b in zip(second.hom.basis, first.hom.basis):
         assert b2.domain is x2 and b2.codomain is y2
         assert all(b2.blocks[v] is b.blocks[v] for v in b.blocks)
+    # the view reads hom coordinates with the stored space's rows
+    assert second.hom._coord_rows is first.hom._coord_rows
     # the stored space is untouched and still served to its own modules
     assert _space_cache(x, y) is first and all(b.domain is x for b in first.hom.basis)
     assert (second.dim, second.free_cols) == (first.dim, first.free_cols)

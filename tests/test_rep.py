@@ -5,11 +5,12 @@ from random import Random
 import numpy as np
 import pytest
 
-from gpktheory import rep
+from gpktheory import exactla, rep
 from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.presentation import opposite
 from gpktheory.rep import (
     FieldUnsupported,
+    HomSpace,
     cyclic_module,
     Morphism,
     decompose,
@@ -32,6 +33,7 @@ from gpktheory.rep import (
     zero_rep,
     Representation,
 )
+from gpktheory.stable import StableHomSpace
 
 from builders import (
     alg61a,
@@ -363,13 +365,54 @@ def test_cover_certificate_raises(monkeypatch):
 
 
 def test_restricted_map_certificate_raises(monkeypatch):
+    """Coordinate rows that miss the last basis vector: the span check of
+    HomSpace.coords rejects the restricted maps that need it."""
     a = alg61b(GF3)
     m = simple(a, "2")
-    monkeypatch.setattr(rep.exactla, "solve_raw", lambda *args: None)
-    with pytest.raises(CertificateError):
+    rows_and_cols = HomSpace._coord_rows.func
+    monkeypatch.setattr(
+        HomSpace, "_coord_rows", property(lambda hs: tuple(x[:-1] for x in rows_and_cols(hs)))
+    )
+    with pytest.raises(CertificateError, match="escapes the hom space"):
         rep.ext_data(m, regular(a), 1)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="escapes the hom space"):
         star(m)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(65521), QQ], ids=lambda f: f.label)
+def test_hom_coords_match_solve_raw(field):
+    """HomSpace.coords gives exactla.solve_raw's solution, row for row and
+    of its type, on a hom basis, on a stable coset sub-basis and on a 0-dim
+    space, and raises on a row outside the span."""
+    a = alg61a(field)
+    m = direct_sum([simple(a, "2"), simple(a, "2"), projective(a, "1")])[0]
+    hs = hom_basis(m, m)
+    stable = StableHomSpace(m, m)
+    coset = HomSpace(m, m, tuple(stable.coset_basis()))
+    zero = hom_basis(projective(a, "1"), simple(a, "2"))
+    assert hs.dim > coset.dim > 1 and zero.dim == 0 and zero._coord_rows[0].shape[1] > 0
+    rng = Random(f"coords/{field.label}")
+    for space in (hs, coset, zero):
+        maps = [space.element([field.random_scalar(rng) for _ in range(space.dim)])
+                for _ in range(6)]
+        mat = np.stack([g.as_vector() for g in space.basis]).T if space.dim else (
+            field.zeros((len(maps[0].as_vector()), 0)))
+        stacked = space.coords_of(maps)
+        assert stacked.shape == (len(maps), space.dim)
+        for row, g in zip(stacked, maps):
+            want = exactla.solve_raw(field, mat, g.as_vector())
+            for got in (row, space.coords_of([g])[0]):
+                assert got.dtype == want.dtype
+                assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+    outside = hs.basis[stable._pivots[0]]
+    assert exactla.solve_raw(field, np.stack([g.as_vector() for g in coset.basis]).T,
+                             outside.as_vector()) is None
+    with pytest.raises(CertificateError, match="escapes the hom space"):
+        coset.coords_of([coset.basis[0], outside])
+    nonzero = field.zeros((1, zero._coord_rows[0].shape[1]))
+    nonzero[0, 0] = field.canon(1)
+    with pytest.raises(CertificateError, match="escapes the hom space"):
+        zero.coords(nonzero)
 
 
 def test_extension_certificates_raise(monkeypatch):

@@ -40,14 +40,13 @@ def test_only_exactla_compares_against_the_exhaustive_cap():
     assert not found, f"EXHAUSTIVE_CAP compared outside exactla: {found}"
 
 
-def test_algebra_caches_are_read_only_by_the_memo_and_the_tensor_cache():
-    """`._caches` belongs to FiniteDimAlgebra.memo (presentation.py); the
-    one other reader is morita's tensor-algebra cache, keyed by the identity
-    of the algebras rather than by bytes.  Every other cache is a memo site."""
+def test_algebra_caches_are_read_only_by_the_memo():
+    """`._caches` belongs to FiniteDimAlgebra.memo (presentation.py); every
+    other cache, the tensor-algebra cache included, is a memo site."""
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _trees()
-        if name not in ("presentation.py", "morita.py")
+        if name != "presentation.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "_caches"
     ]
