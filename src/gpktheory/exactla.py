@@ -372,6 +372,20 @@ def rank_of(field: FieldSpec, a: np.ndarray) -> int:
     return len(rref(field, a)[1])
 
 
+def rank_stack(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Rank of every matrix in an (N, r, c) stack.
+
+    Over GF(p) a stack of more than one matrix takes one `rref_stack_fp`,
+    which steps once per column for the whole stack, so the shorter side
+    becomes the columns (transposing keeps ranks).  A single matrix, and
+    every matrix over QQ, takes `rank_of`, which passes non-pivot columns
+    cheaply.
+    """
+    if field.char and len(a) > 1:
+        return rref_stack_fp(a if a.shape[2] <= a.shape[1] else a.transpose(0, 2, 1), field.char)[1]
+    return np.array([rank_of(field, m) for m in a], dtype=np.int64)
+
+
 def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     """Canonical basis of the right null space, one vector per row.
 

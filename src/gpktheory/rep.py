@@ -373,39 +373,74 @@ def quotient_by_rows(m: Representation, rows: dict):
     of the reduced rows).  Returns (quotient, projection).
     """
     f = m.field
-    proj_blocks = {}
-    lift_blocks = {}
-    dims = {}
+    reds = {}
     for v in m.algebra.quiver.vertices:
         r = rows.get(v)
         if r is None or len(r) == 0:
             red = f.zeros((0, m.dims[v]))
-            piv = []
         else:
             arr = r if isinstance(r, np.ndarray) else f.array(r)
-            red, piv = exactla.rref(f, arr)
-        free = [c for c in range(m.dims[v]) if c not in set(piv)]
-        dims[v] = len(free)
-        # projection: reduce modulo the span, then read free coordinates
-        pr = f.zeros((len(free), m.dims[v]))
-        for k, c in enumerate(free):
-            pr[k, c] = f.canon(1)
-            for i, pc in enumerate(piv):
-                pr[k, pc] = f.canon(-red[i, c])
-        lf = f.zeros((m.dims[v], len(free)))
-        for k, c in enumerate(free):
-            lf[c, k] = f.canon(1)
-        proj_blocks[v] = pr
-        lift_blocks[v] = lf
+            red, _ = exactla.rref(f, arr)
+        reds[v] = red[None]
+    return quotient_stack(m, reds)[0][0]
+
+
+def quotient_stack(m: Representation, reds: dict):
+    """Quotients of m by a stack of subrepresentations at once.
+
+    reds[v] is an (N, r_v, d_v) stack of canonical RREFs whose rows are all
+    nonzero: item k spans its subrepresentation's rows at v.  Returns
+    (quotients, proj): one (quotient, projection) per item, equal to
+    `quotient_by_rows` on that item's rows, and per vertex the stack of the
+    projections' blocks.  The quotient basis is the free (non-pivot)
+    coordinates, the projection P reduces modulo the span and reads them,
+    and each arrow map is P_w M_a L_u with L_u the lift at the free
+    coordinates.
+    """
+    f = m.field
+    verts = m.algebra.quiver.vertices
+    num = len(reds[verts[0]])
+    proj, free, dims = {}, {}, {}
+    for v in verts:
+        red = reds[v]
+        _, r, d = red.shape
+        pr = f.zeros((num, d - r, d))
+        if r == d:
+            # the whole space: nothing is left
+            fr = np.zeros((num, 0), dtype=np.intp)
+        elif r == 0:
+            # nothing to reduce by: P is the identity (fr broadcasts over items)
+            cols = np.arange(d)
+            pr[:, cols, cols] = f.canon(1)
+            fr = cols[None]
+        else:
+            items = np.arange(num)[:, None]
+            # each row's pivot is its first nonzero column
+            piv = (red != 0).argmax(axis=2)
+            is_piv = np.zeros((num, d), dtype=bool)
+            is_piv[items, piv] = True
+            fr = np.nonzero(~is_piv)[1].reshape(num, d - r)
+            ks = np.arange(d - r)
+            pr[items, ks, fr] = f.canon(1)
+            # P[k, piv_i] = -R[i, free_k]: reduce modulo the span, read the free coordinates
+            pr[items[:, :, None], ks[:, None], piv[:, None, :]] = f.scale(
+                -1, red.transpose(0, 2, 1)[items, fr]
+            )
+        proj[v], free[v], dims[v] = pr, fr, d - r
     maps = {}
     for arw in m.algebra.quiver.arrows:
         u, w = arw.source, arw.target
-        maps[arw.label] = f.matmul(
-            proj_blocks[w], f.matmul(m.maps[arw.label], lift_blocks[u])
-        )
-    q = Representation(m.algebra, dims, maps, check=False)
-    proj = Morphism(m, q, proj_blocks)
-    return q, proj
+        if not (dims[u] and dims[w]):
+            maps[arw.label] = f.zeros((num, dims[w], dims[u]))
+            continue
+        # M_a L_u reads the columns of M_a at the free coordinates of u; the
+        # Representation reduces the products mod p
+        maps[arw.label] = proj[w] @ m.maps[arw.label][:, free[u]].transpose(1, 0, 2)
+    out = []
+    for k in range(num):
+        q = Representation(m.algebra, dims, {lab: mp[k] for lab, mp in maps.items()}, check=False)
+        out.append((q, Morphism(m, q, {v: proj[v][k] for v in verts})))
+    return out, proj
 
 
 def cokernel(fm: Morphism):

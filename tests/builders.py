@@ -270,6 +270,39 @@ def reference_hom_element(hs, coeffs):
     return out
 
 
+# reference for the stacked quotient builder --------------------------------
+
+
+def reference_quotient_by_rows(m, rows):
+    """rep.quotient_by_rows with its fills written as loops: the projection
+    has 1 at each free column and -R[i, c] at each pivot, the lift 1 at each
+    free column, and each arrow map is P_w M_a L_u."""
+    from gpktheory.exactla import rref
+    from gpktheory.rep import Morphism
+
+    f = m.field
+    proj, lift, dims = {}, {}, {}
+    for v in m.algebra.quiver.vertices:
+        r = rows.get(v)
+        red, piv = rref(f, r) if r is not None and len(r) else (f.zeros((0, m.dims[v])), [])
+        free = [c for c in range(m.dims[v]) if c not in set(piv)]
+        dims[v] = len(free)
+        pr = f.zeros((len(free), m.dims[v]))
+        lf = f.zeros((m.dims[v], len(free)))
+        for k, c in enumerate(free):
+            pr[k, c] = f.canon(1)
+            lf[c, k] = f.canon(1)
+            for i, pc in enumerate(piv):
+                pr[k, pc] = f.canon(-red[i, c])
+        proj[v], lift[v] = pr, lf
+    maps = {
+        arw.label: f.matmul(proj[arw.target], f.matmul(m.maps[arw.label], lift[arw.source]))
+        for arw in m.algebra.quiver.arrows
+    }
+    q = Representation(m.algebra, dims, maps, check=False)
+    return q, Morphism(m, q, proj)
+
+
 # references for the vectorized kernel and solver fills -----------------------
 
 

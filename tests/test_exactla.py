@@ -21,6 +21,7 @@ from gpktheory.exactla import (
     kernel,
     rank_kernel,
     rank_of,
+    rank_stack,
     rref,
     rref_stack_fp,
     smith_normal_form,
@@ -115,6 +116,8 @@ def test_rref_stack_matches_rref():
         for stack in _stack_cases(rng, p):
             red, ranks = rref_stack_fp(stack, p)
             assert red.shape == stack.shape
+            for part in (stack, stack[:1]):
+                assert (rank_stack(f, part) == ranks[: len(part)]).all()
             for k in range(len(stack)):
                 rows, pivots = rref(f, stack[k])
                 assert ranks[k] == len(pivots) == rank_of(f, stack[k])

@@ -520,6 +520,7 @@ def test_ktheory_tests_pass_under_python_O():
     ] + [
         str(here / "test_waldhausen.py") + "::" + name
         for name in ("test_verify_exact_rejects_non_exact_pairs",
+                     "test_stacked_exactness_certificate_rejects_broken_members",
                      "test_summand_missing_from_the_catalog_is_a_certificate_error",
                      "test_unknown_catalog_rejected")
     ]

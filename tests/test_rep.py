@@ -26,6 +26,8 @@ from gpktheory.rep import (
     projective,
     projective_cover,
     projective_dimension,
+    quotient_by_rows,
+    quotient_stack,
     regular,
     simple,
     star,
@@ -42,6 +44,7 @@ from builders import (
     every_coeff_vector,
     loop_square_zero,
     reference_hom_element,
+    reference_quotient_by_rows,
     semisimple_two,
     twisted,
 )
@@ -448,3 +451,47 @@ def test_hom_element_matches_scale_and_add_loop(field):
                 assert got.blocks[v].dtype == want.blocks[v].dtype
                 assert got.blocks[v].shape == want.blocks[v].shape
                 assert (got.blocks[v] == want.blocks[v]).all()
+
+
+def _entries(a):
+    return a.shape, [(type(x), x) for x in a.reshape(-1)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(65521), QQ], ids=lambda f: f.label)
+def test_quotient_stack_matches_the_per_item_loop(field):
+    """quotient_stack on stacks of submodules of equal rank, and
+    quotient_by_rows (its stack of one) on each, give the per-item loop's
+    quotient and projection, entry types included.  The submodules are
+    random images, the empty one and the whole module; the second module
+    is 0-dimensional at one vertex."""
+    a = alg61a(field)
+    verts = a.quiver.vertices
+    rng = Random(f"quotients/{field.label}")
+    for m in (direct_sum([projective(a, "1"), simple(a, "2"), projective(a, "2")])[0],
+              direct_sum([simple(a, "1"), simple(a, "1")])[0]):
+        rows = [{v: field.zeros((0, m.dims[v])) for v in verts},
+                {v: field.eye(m.dims[v]) for v in verts}]
+        for x in (m, projective(a, "1"), simple(a, "2"), regular(a)):
+            hs = hom_basis(x, m)
+            for _ in range(6):
+                g = hs.element([field.random_scalar(rng) for _ in range(hs.dim)])
+                rows.append({v: g.blocks[v].T for v in verts})
+        groups = {}
+        for r in rows:
+            reds = {v: exactla.rref(field, r[v])[0] for v in verts}
+            groups.setdefault(tuple(reds[v].shape[0] for v in verts), []).append((r, reds))
+        assert len(groups) >= 3 and max(map(len, groups.values())) > 2
+        for group in groups.values():
+            stacks = {v: np.stack([red[v] for _, red in group]) for v in verts}
+            quotients, proj = quotient_stack(m, stacks)
+            assert len(quotients) == len(group)
+            for k, ((r, _), pair) in enumerate(zip(group, quotients)):
+                want_q, want_pr = reference_quotient_by_rows(m, r)
+                for q, pr in (pair, quotient_by_rows(m, r)):
+                    assert q.dims == want_q.dims and q.key() == want_q.key()
+                    for lab in q.maps:
+                        assert _entries(q.maps[lab]) == _entries(want_q.maps[lab])
+                    for v in verts:
+                        assert _entries(pr.blocks[v]) == _entries(want_pr.blocks[v])
+                for v in verts:
+                    assert _entries(proj[v][k]) == _entries(want_pr.blocks[v])

@@ -4,12 +4,14 @@ agreement with the catalog's relation rows, gluing, and face identities."""
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 
 from builders import (
     GF2,
     alg61a,
     alg61b,
+    alg62a,
     alg62b,
     all_coeff_vectors,
     cached_wdata,
@@ -196,6 +198,27 @@ def test_gluing_check_small_run():
     assert report.counterexamples == []
 
 
+def test_gluing_check_counts_only_non_gp_pushouts(monkeypatch):
+    # a pushout with a non-GP summand is a counterexample; a failed
+    # certificate inside the classification raises instead
+    data = cached_wdata("kx2_gf2")
+    with monkeypatch.context() as m:
+        m.setattr(waldhausen, "_weak_class", lambda data, rep: None)
+        report = gluing_check(data, trials=3, seed=11)
+    assert not report.ok
+    assert [c["reason"] for c in report.counterexamples] == [
+        "pushout left the closure: non-GP summand"
+    ] * 3
+
+    def broken(data, rep):
+        raise CertificateError("GP summand missing from the catalog; closure violated")
+
+    with monkeypatch.context() as m:
+        m.setattr(waldhausen, "_weak_class", broken)
+        with pytest.raises(CertificateError, match="missing from the catalog"):
+            gluing_check(data, trials=3, seed=11)
+
+
 def test_s3_face_identities_hold():
     for name in ("kx2_gf2", "61a_gf5"):
         data = cached_wdata(name)
@@ -270,6 +293,8 @@ def _cofibration_rows(data):
             c.src,
             c.dst,
             tuple(c.mono.blocks[v].tobytes() for v in verts),
+            tuple(c.quotient.blocks[v].tobytes() for v in verts),
+            c.coker.key(),
             data.classes[c.coker_class],
             c.split,
         )
@@ -280,7 +305,7 @@ def _cofibration_rows(data):
 def test_line_search_matches_full_enumeration(monkeypatch):
     cases = [
         (loop_square_zero, 2), (loop_square_zero, 3), (loop_square_zero, 5),
-        (alg62b, 3),
+        (alg62b, 3), (semisimple_two, 2), (alg62a, 3),
     ]
     for make, p in cases:
         catalog = gp_catalog(make(FieldSpec(p)))
@@ -303,3 +328,43 @@ def test_verify_exact_rejects_non_exact_pairs():
         waldhausen._verify_exact(c.mono, zero_morphism(y, c.coker))
     with pytest.raises(CertificateError, match="does not vanish"):
         waldhausen._verify_exact(c.mono, identity_morphism(y))
+
+
+def test_stacked_exactness_certificate_rejects_broken_members():
+    # one object pair's cofibrations stacked: the certificate passes them
+    # all, and names the fault when one member is broken
+    data = cached_wdata("kx2_gf2")
+    groups = {}
+    for c in data.cofibrations:
+        if not data.objects[c.src].is_zero and not c.coker.is_zero:
+            groups.setdefault((c.src, c.dst), []).append(c)
+    cofs = max(groups.values(), key=len)
+    assert len(cofs) >= 3
+    f = data.algebra.field
+    verts = data.algebra.quiver.vertices
+
+    def stacks():
+        return ({v: np.stack([c.mono.blocks[v] for c in cofs]) for v in verts},
+                {v: np.stack([c.quotient.blocks[v] for c in cofs]) for v in verts})
+
+    waldhausen._verify_exact_stack(f, *stacks())
+    v = verts[0]
+    monos, quots = stacks()
+    monos[v][1] = 0
+    with pytest.raises(CertificateError, match="not a monomorphism"):
+        waldhausen._verify_exact_stack(f, monos, quots)
+    monos, quots = stacks()
+    quots[v][1] = 0
+    with pytest.raises(CertificateError, match="not an epimorphism"):
+        waldhausen._verify_exact_stack(f, monos, quots)
+    # q = id needs a stack of one (test_verify_exact_rejects_non_exact_pairs);
+    # in a stack, an epi that keeps another image: member 1's q is member 2's
+    monos, quots = stacks()
+    quots[v][1] = quots[v][2]
+    with pytest.raises(CertificateError, match="does not vanish"):
+        waldhausen._verify_exact_stack(f, monos, quots)
+    # every q one row short: still onto and vanishing, but Z is too small
+    monos, quots = stacks()
+    quots[v] = quots[v][:, 1:]
+    with pytest.raises(CertificateError, match="do not add up"):
+        waldhausen._verify_exact_stack(f, monos, quots)
