@@ -26,6 +26,7 @@ one "error: internal <Type>: <message>" line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -664,7 +665,10 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `gpk` parser, built once per process; each parse_args call
+    still returns a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="gpk",
         description="Gorenstein projective catalogs and stable K-groups "

@@ -403,12 +403,6 @@ def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_kernel(m: MatF):
-    """Rank and canonical kernel basis of a matrix over a field."""
-    ker = kernel(m.field, m.a)
-    return m.a.shape[1] - len(ker), ker
-
-
 def solve_raw(field: FieldSpec, a: np.ndarray, b: np.ndarray):
     """One solution of a x = b (free variables set to 0), or None."""
     b = b.reshape(-1)

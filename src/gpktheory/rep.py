@@ -254,7 +254,13 @@ def simple(a: FiniteDimAlgebra, v: str) -> Representation:
 
 
 def projective(a: FiniteDimAlgebra, v: str) -> Representation:
-    """The indecomposable projective at v: paths out of v, arrows acting on the left."""
+    """The indecomposable projective at v: paths out of v, arrows acting on
+    the left.  Memoized per algebra: the module is shared, so callers must
+    not mutate it."""
+    return a.memo("projective", v, lambda: _projective(a, v))
+
+
+def _projective(a: FiniteDimAlgebra, v: str) -> Representation:
     idxs = a.paths_with_source(v)
     by_vertex = {w: [i for i in idxs if a.target_of(i) == w] for w in a.quiver.vertices}
     dims = {w: len(lst) for w, lst in by_vertex.items()}
@@ -269,8 +275,11 @@ def projective(a: FiniteDimAlgebra, v: str) -> Representation:
 
 
 def regular(a: FiniteDimAlgebra) -> Representation:
-    reps = [projective(a, v) for v in a.quiver.vertices]
-    return direct_sum(reps)[0]
+    """The sum of the projectives in quiver vertex order, memoized like them."""
+    return a.memo(
+        "regular", None,
+        lambda: direct_sum([projective(a, v) for v in a.quiver.vertices])[0],
+    )
 
 
 def direct_sum(reps):
@@ -292,22 +301,16 @@ def direct_sum(reps):
             c0 += b.shape[1]
         maps[arw.label] = mat
     total = Representation(a, dims, maps, check=False)
+    # each summand's injection is a column block of the identity, its
+    # projection the matching row block
+    eyes = {v: f.eye(dims[v]) for v in a.quiver.vertices}
     injections = []
     projections = []
     off = {v: 0 for v in a.quiver.vertices}
     for r in reps:
-        inj = {}
-        prj = {}
-        for v in a.quiver.vertices:
-            inj_m = f.zeros((dims[v], r.dims[v]))
-            prj_m = f.zeros((r.dims[v], dims[v]))
-            for i in range(r.dims[v]):
-                inj_m[off[v] + i, i] = f.canon(1)
-                prj_m[i, off[v] + i] = f.canon(1)
-            inj[v] = inj_m
-            prj[v] = prj_m
-        injections.append(Morphism(r, total, inj))
-        projections.append(Morphism(total, r, prj))
+        span = {v: slice(off[v], off[v] + r.dims[v]) for v in a.quiver.vertices}
+        injections.append(Morphism(r, total, {v: eyes[v][:, span[v]].copy() for v in span}))
+        projections.append(Morphism(total, r, {v: eyes[v][span[v]].copy() for v in span}))
         for v in a.quiver.vertices:
             off[v] += r.dims[v]
     return total, injections, projections

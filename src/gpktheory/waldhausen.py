@@ -321,33 +321,28 @@ def _split_cofibration(data, x: WObject, y: WObject):
 
 
 def _split_inclusion(data, x: WObject, y: WObject):
-    """The canonical inclusion when y dominates x as a summand multiset."""
+    """The canonical inclusion when y dominates x as a summand multiset.
+
+    Objects are sums of their parts in parts_pool order, so at each vertex
+    the first x-multiplicity copies of every part sit in y as one diagonal
+    0/1 block at that part's offsets; `verify()` certifies the module map
+    and the caller certifies exactness.
+    """
     xa, ya = x.all_mults, y.all_mults
     if any(xc > yc for xc, yc in zip(xa, ya)):
         return None
-    x_parts = [p for m, p in zip(xa, data.parts_pool) for _ in range(m)]
-    y_parts = [p for m, p in zip(ya, data.parts_pool) for _ in range(m)]
-    if not x_parts:
-        return zero_morphism(x.rep, y.rep)
-    xsum, _, xprj = direct_sum(x_parts)
-    ysum, yinj, _ = direct_sum(y_parts)
-    # objects were assembled in the same canonical summand order, so the
-    # identification of x.rep/y.rep with the abstract sums is the identity
-    if xsum.key() != x.rep.key() or ysum.key() != y.rep.key():
-        raise CertificateError("objects are not the canonical sums of their parts")
-    ypos = {}
-    pos = 0
-    for kind, m in enumerate(ya):
-        ypos[kind] = list(range(pos, pos + m))
-        pos += m
-    mono = None
-    xpos = 0
-    for kind, m in enumerate(xa):
-        for k in range(m):
-            leg = yinj[ypos[kind][k]].compose(xprj[xpos])
-            mono = leg if mono is None else mono.add(leg)
-            xpos += 1
-    return Morphism(x.rep, y.rep, mono.blocks)
+    f = data.algebra.field
+    blocks = {}
+    for v in data.algebra.quiver.vertices:
+        block = f.zeros((y.rep.dims[v], x.rep.dims[v]))
+        xoff = yoff = 0
+        for part, xm, ym in zip(data.parts_pool, xa, ya):
+            run = np.arange(xm * part.dims[v])
+            block[yoff + run, xoff + run] = f.canon(1)
+            xoff += len(run)
+            yoff += ym * part.dims[v]
+        blocks[v] = block
+    return Morphism(x.rep, y.rep, blocks).verify()
 
 
 def _is_split(data, x: WObject, y: WObject, coker_cls: int) -> bool:
@@ -383,14 +378,6 @@ def _verify_exact_stack(f, monos: dict, quots: dict):
     ydim, xdim = (sum(m.shape[i] for m in monos.values()) for i in (1, 2))
     if ydim != xdim + sum(q.shape[1] for q in quots.values()):
         raise CertificateError("dimensions of the sequence do not add up")
-
-
-def s2_faces(data: FiniteWaldhausenData):
-    """(d2, d1, d0) = (source, target, chosen subquotient) per S2 simplex."""
-    return [
-        (data.objects[c.src].rep, data.objects[c.dst].rep, c.coker)
-        for c in data.cofibrations
-    ]
 
 
 def k0_oracle(data: FiniteWaldhausenData) -> AbelianGroupDescription:

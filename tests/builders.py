@@ -303,6 +303,31 @@ def reference_quotient_by_rows(m, rows):
     return q, Morphism(m, q, proj)
 
 
+# reference for the direct-sum structure maps ---------------------------------
+
+
+def reference_direct_sum_blocks(reps):
+    """rep.direct_sum's injection and projection blocks filled one entry at
+    a time: (injections, projections), one {vertex: block} dict per summand."""
+    a = reps[0].algebra
+    f = a.field
+    dims = {v: sum(r.dims[v] for r in reps) for v in a.quiver.vertices}
+    off = {v: 0 for v in a.quiver.vertices}
+    injections, projections = [], []
+    for r in reps:
+        inj, prj = {}, {}
+        for v in a.quiver.vertices:
+            inj[v] = f.zeros((dims[v], r.dims[v]))
+            prj[v] = f.zeros((r.dims[v], dims[v]))
+            for i in range(r.dims[v]):
+                inj[v][off[v] + i, i] = f.canon(1)
+                prj[v][i, off[v] + i] = f.canon(1)
+            off[v] += r.dims[v]
+        injections.append(inj)
+        projections.append(prj)
+    return injections, projections
+
+
 # references for the vectorized kernel and solver fills -----------------------
 
 

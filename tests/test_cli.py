@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gpktheory.cli import CliError, main, parse, serialize
+from gpktheory.cli import CliError, main, make_parser, parse, serialize
 from gpktheory.cli import DATA_DIR
 
 GF5_61A = (DATA_DIR / "example61A.alg").read_text()
@@ -380,6 +380,28 @@ def test_json_output_is_byte_reproducible():
     assert runs[0] == runs[1]
     runs = [run(["k0", "kx2.alg", "--json"]) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_reused_parser_carries_no_option_between_calls():
+    """The parser is built once per process; each call in one process
+    prints what the same command prints run alone."""
+    assert make_parser() is make_parser()
+    commands = [
+        ["analyze", "example61A.alg", "--json", "--field", "3"],  # the file says GF(5)
+        ["analyze", "example61A.alg", "--json"],
+        ["k1", "kx2.alg", "--json"],
+    ]
+    in_process = [run(argv) for argv in commands]
+    assert in_process[0] != in_process[1]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    for argv, got in zip(commands, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpktheory.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_text_output_mentions_verdict_and_groups():

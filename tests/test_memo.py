@@ -1,5 +1,5 @@
-"""The per-algebra memo of decompositions, isomorphism tests and stable
-Hom spaces.
+"""The per-algebra memo of projectives, decompositions, isomorphism tests
+and stable Hom spaces.
 
 `FiniteDimAlgebra.memo` reuses a result only for byte-identical modules and
 the same seed in the same algebra; these tests compare every memoized
@@ -13,7 +13,7 @@ import pytest
 from gpktheory import gorenstein, rep
 from gpktheory.exactla import FieldSpec
 from gpktheory.gorenstein import gp_catalog
-from gpktheory.ktheory import build_k0_input
+from gpktheory.ktheory import build_k0_input, k0_gorenstein, k1_gorenstein
 from gpktheory.presentation import FiniteDimAlgebra
 from gpktheory.rep import (
     Representation,
@@ -23,11 +23,22 @@ from gpktheory.rep import (
     identity_morphism,
     is_isomorphic,
     projective,
+    regular,
     simple,
 )
 from gpktheory.stable import StableHomSpace, _space_cache, is_weakly_equivalent, stable_hom
+from gpktheory.waldhausen import gluing_check
 
-from builders import alg61a, alg61b, alg62a, alg62b, loop_square_zero, seeded_sums, twisted
+from builders import (
+    alg61a,
+    alg61b,
+    alg62a,
+    alg62b,
+    cached_wdata,
+    loop_square_zero,
+    seeded_sums,
+    twisted,
+)
 
 ALGEBRAS = {
     "kx2": loop_square_zero,
@@ -131,6 +142,32 @@ def test_mutating_a_returned_list_leaves_the_memo_intact():
     summary = _summary(parts)
     parts.pop()
     assert _summary(decompose(m)) == summary
+
+
+def test_shared_projectives_and_regular_module_stay_unchanged(monkeypatch):
+    """A hit hands back the stored module itself; after the catalog, both
+    K-groups, the oracle and a gluing check its bytes still equal a fresh
+    build, so no caller mutated it."""
+    data = cached_wdata("61b_gf3_d1")  # build_wdata(depth=1) on 61B over GF(3)
+    a, cat = data.algebra, data.catalog
+    verts = a.quiver.vertices
+    projs = [projective(a, v) for v in verts]
+    reg = regular(a)
+    assert all(projective(a, v) is pv for v, pv in zip(verts, projs))
+    assert regular(a) is reg
+    gp_catalog(a)
+    k0_gorenstein(a, cat)
+    k1_gorenstein(a, cat)
+    gluing_check(data, trials=3)
+    assert all(projective(a, v) is pv for v, pv in zip(verts, projs))
+    assert regular(a) is reg
+    for v, pv in zip(verts, projs):
+        fresh = _uncached(monkeypatch, projective, a, v)
+        # _copy recomputes the bytes, which the cached key() would not
+        assert _copy(pv).key() == pv.key() == fresh.key()
+        assert pv._proj_basis == fresh._proj_basis
+    fresh = _uncached(monkeypatch, regular, a)
+    assert _copy(reg).key() == reg.key() == fresh.key()
 
 
 @pytest.mark.parametrize("make", [lambda: alg61a(FieldSpec(3)), lambda: alg62b(FieldSpec(3))])

@@ -43,6 +43,7 @@ from builders import (
     alg62a,
     every_coeff_vector,
     loop_square_zero,
+    reference_direct_sum_blocks,
     reference_hom_element,
     reference_quotient_by_rows,
     semisimple_two,
@@ -455,6 +456,20 @@ def test_hom_element_matches_scale_and_add_loop(field):
 
 def _entries(a):
     return a.shape, [(type(x), x) for x in a.reshape(-1)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.label)
+def test_direct_sum_blocks_match_the_entry_loop(field):
+    """Injections and projections, entry types included, against the
+    one-entry-at-a-time fill; zero-dimensional components included."""
+    a = alg61b(field)
+    p1, p2, s1, s2 = projective(a, "1"), projective(a, "2"), simple(a, "1"), simple(a, "2")
+    for reps in ([s1], [s1, s2], [p1, s2, p1], [s2, p2, s1, p1, s2]):
+        _, injs, prjs = direct_sum(reps)
+        want_injs, want_prjs = reference_direct_sum_blocks(reps)
+        for got, want in zip(injs + prjs, want_injs + want_prjs):
+            for v in a.quiver.vertices:
+                assert _entries(got.blocks[v]) == _entries(want[v])
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(65521), QQ], ids=lambda f: f.label)

@@ -1,12 +1,13 @@
 """Source checks on the package: no assert statements (they vanish under
 `python -O`), only exactla compares against EXHAUSTIVE_CAP (one
-exhaustive-or-sampled policy), and per-algebra caches go through the one
-memo."""
+exhaustive-or-sampled policy), per-algebra caches go through the one
+memo, and README's module table names every memo site."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gpktheory"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gpktheory"
 
 
 def _trees():
@@ -51,3 +52,23 @@ def test_algebra_caches_are_read_only_by_the_memo():
         if isinstance(node, ast.Attribute) and node.attr == "_caches"
     ]
     assert not found, f"._caches read outside the memo: {found}"
+
+
+def test_every_memo_site_is_named_in_the_readme_module_table():
+    table = "\n".join(
+        line for line in (ROOT / "README.md").read_text().splitlines()
+        if line.startswith("| `")
+    )
+    sites = {
+        (name, node.args[0].value)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "memo"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert sites, "no memo sites found"
+    missing = sorted(f"{name}: {site}" for name, site in sites if f"`{site}`" not in table)
+    assert not missing, f"memo sites missing from README's module table: {missing}"

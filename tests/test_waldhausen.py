@@ -25,6 +25,7 @@ from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
 from gpktheory.rep import (
     Representation,
     cokernel,
+    direct_sum,
     hom_basis,
     identity_morphism,
     is_isomorphic,
@@ -36,7 +37,6 @@ from gpktheory.waldhausen import (
     gluing_check,
     k0_oracle,
     pushout,
-    s2_faces,
     s3_face_identities,
     sample_s3_flags,
 )
@@ -106,7 +106,10 @@ def test_62a_cmfree_oracle_trivial():
 
 def test_s2_faces_are_exact_triples():
     data = cached_wdata("kx2_gf2")
-    triples = s2_faces(data)
+    triples = [
+        (data.objects[c.src].rep, data.objects[c.dst].rep, c.coker)
+        for c in data.cofibrations
+    ]
     assert len(triples) == len(data.cofibrations)
     for x, y, z in triples:
         assert x.total_dim + z.total_dim == y.total_dim
@@ -300,6 +303,48 @@ def _cofibration_rows(data):
         )
         for c in data.cofibrations
     ]
+
+
+def _reference_split_inclusion(data, x, y):
+    """The split inclusion composed from the abstract sums' structure maps:
+    the k-th copy of each part in x goes to the k-th copy in y."""
+    x_parts = [p for m, p in zip(x.all_mults, data.parts_pool) for _ in range(m)]
+    y_parts = [p for m, p in zip(y.all_mults, data.parts_pool) for _ in range(m)]
+    if not x_parts:
+        return zero_morphism(x.rep, y.rep)
+    xsum, _, xprj = direct_sum(x_parts)
+    ysum, yinj, _ = direct_sum(y_parts)
+    assert (xsum.key(), ysum.key()) == (x.rep.key(), y.rep.key())
+    ystart = np.cumsum((0,) + y.all_mults)
+    legs = [
+        yinj[ystart[kind] + k]
+        for kind, m in enumerate(x.all_mults)
+        for k in range(m)
+    ]
+    mono = legs[0].compose(xprj[0])
+    for leg, prj in zip(legs[1:], xprj[1:]):
+        mono = mono.add(leg.compose(prj))
+    return mono
+
+
+@pytest.mark.parametrize("name", ["kx2_gf2", "61b_gf3_d1"])
+def test_split_inclusion_matches_the_composed_structure_maps(name):
+    data = cached_wdata(name)
+    verts = data.algebra.quiver.vertices
+    pairs = 0
+    for x in data.objects:
+        for y in data.objects:
+            got = waldhausen._split_inclusion(data, x, y)
+            if got is None:
+                assert any(xm > ym for xm, ym in zip(x.all_mults, y.all_mults))
+                continue
+            want = _reference_split_inclusion(data, x, y)
+            assert got.domain is x.rep and got.codomain is y.rep
+            for v in verts:
+                assert got.blocks[v].dtype == want.blocks[v].dtype
+                assert np.array_equal(got.blocks[v], want.blocks[v])
+            pairs += 1
+    assert pairs > len(data.objects)
 
 
 def test_line_search_matches_full_enumeration(monkeypatch):
