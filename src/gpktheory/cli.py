@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exactla import FieldSpec
-from .gorenstein import AtLeast, dimension_report, gp_catalog
+from .gorenstein import AtLeast, gp_catalog
 from .ktheory import k0_gorenstein, k1_gorenstein
 from .morita import (
     Bimodule,
@@ -522,31 +522,34 @@ def cmd_analyze(args):
     return out, _render_analyze(out), (2 if side.catalog.verdict == "Unknown" else 0)
 
 
-def cmd_gp(args):
+def _cataloged(args):
+    """Load, build and catalog args.file under its caps: (af, a, cat, depth,
+    out), out holding the algebra and the catalog's notes."""
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
-    dim_cap, iter_cap, seed, _ = _caps(af, args)
-    rep = dimension_report(a)
+    dim_cap, iter_cap, seed, depth = _caps(af, args)
     cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
-    out = {
-        "algebra": _algebra_json(af, a),
-        "dimension_report": _dimension_json(rep),
-        "gp_catalog": _catalog_json(cat),
-        "warnings": list(cat.notes),
-    }
+    return af, a, cat, depth, {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
+
+
+def _not_computed(out, keys, command):
+    """The answer of a K-group command on an Unknown catalog: keys null, exit 2."""
+    out.update(dict.fromkeys(keys))
+    out["warnings"].append("catalog verdict Unknown: K-groups not computed")
+    return out, [f"{command}: not computed (catalog Unknown)"], 2
+
+
+def cmd_gp(args):
+    _, _, cat, _, out = _cataloged(args)
+    out["dimension_report"] = _dimension_json(cat.report)
+    out["gp_catalog"] = _catalog_json(cat)
     return out, _render_analyze(out), (2 if cat.verdict == "Unknown" else 0)
 
 
 def _k_command(args, which):
-    af = load_algebra_file(args.file)
-    a = build_from_file(af, args)
-    dim_cap, iter_cap, seed, _ = _caps(af, args)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
-    out = {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
+    af, a, cat, _, out = _cataloged(args)
     if cat.verdict == "Unknown":
-        out[which] = None
-        out["warnings"].append("catalog verdict Unknown: K-groups not computed")
-        return out, [f"{which}: not computed (catalog Unknown)"], 2
+        return _not_computed(out, [which], which)
     if which == "k0":
         out["k0"] = _group_json(k0_gorenstein(a, cat))
     else:
@@ -568,17 +571,9 @@ def cmd_k1(args):
 
 
 def cmd_oracle_k0(args):
-    af = load_algebra_file(args.file)
-    a = build_from_file(af, args)
-    dim_cap, iter_cap, seed, depth = _caps(af, args)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
-    out = {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
+    af, a, cat, depth, out = _cataloged(args)
     if cat.verdict == "Unknown":
-        out["k0"] = None
-        out["oracle_k0"] = None
-        out["oracle_agreement"] = None
-        out["warnings"].append("catalog verdict Unknown: K-groups not computed")
-        return out, ["oracle-k0: not computed (catalog Unknown)"], 2
+        return _not_computed(out, ["k0", "oracle_k0", "oracle_agreement"], "oracle-k0")
     g = k0_gorenstein(a, cat)
     data = build_wdata(cat, depth=depth)
     og = k0_oracle(data)

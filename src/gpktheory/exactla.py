@@ -179,13 +179,6 @@ class FieldSpec:
             a[i, i] = 1 if self.char else Fraction(1)
         return a
 
-    def random_matrix(self, rng, shape) -> np.ndarray:
-        a = self.zeros(shape)
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                a[i, j] = self.random_scalar(rng)
-        return a
-
     # arithmetic -------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,22 +204,6 @@ class FieldSpec:
 
 GF = FieldSpec
 QQ = FieldSpec(0)
-
-
-@dataclass
-class MatF:
-    """A matrix over a field, in canonical entry form."""
-
-    field: FieldSpec
-    a: np.ndarray
-
-    @classmethod
-    def make(cls, field: FieldSpec, rows) -> "MatF":
-        return cls(field, field.array(rows))
-
-    @property
-    def shape(self):
-        return self.a.shape
 
 
 @dataclass(frozen=True)
@@ -401,26 +378,6 @@ def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     minus = -red[:, free].T
     out[:, pivots] = minus % field.char if field.char else minus
     return out
-
-
-def solve_raw(field: FieldSpec, a: np.ndarray, b: np.ndarray):
-    """One solution of a x = b (free variables set to 0), or None."""
-    b = b.reshape(-1)
-    aug = field.zeros((a.shape[0], a.shape[1] + 1))
-    aug[:, : a.shape[1]] = a
-    aug[:, a.shape[1]] = b
-    red, pivots = rref(field, aug)
-    if a.shape[1] in pivots:
-        return None
-    x = field.zeros((a.shape[1],))
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i, a.shape[1]]
-    return x
-
-def solve(a: MatF, b) -> np.ndarray | None:
-    """Solve a x = b over a's field; None when inconsistent."""
-    bv = a.field.array(b).reshape(-1)
-    return solve_raw(a.field, a.a, bv)
 
 
 class LinearSolver:

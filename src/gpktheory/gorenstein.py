@@ -67,10 +67,6 @@ class DimensionReport:
     def is_self_injective(self) -> bool:
         return self.gorenstein_status == "yes" and self.gorenstein_dim == 0
 
-    @property
-    def has_finite_global_dim(self) -> bool:
-        return isinstance(self.global_dim, int)
-
     def describe(self) -> str:
         lines = [
             f"projective dimensions of simples: "

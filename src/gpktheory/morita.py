@@ -46,6 +46,7 @@ from .rep import (
     Morphism,
     Representation,
     _right_mult_on_projectives,
+    block_diag,
     decompose,
     direct_sum,
     hom_basis,
@@ -382,17 +383,6 @@ def module_from_bimodule(m: Bimodule) -> Representation:
     return Representation(b, dims, maps, check=True)
 
 
-def _block_diag(f, blocks, rdims, cdims):
-    mat = f.zeros((sum(rdims), sum(cdims)))
-    r0 = 0
-    c0 = 0
-    for blk, rd, cd in zip(blocks, rdims, cdims):
-        mat[r0 : r0 + rd, c0 : c0 + cd] = blk
-        r0 += rd
-        c0 += cd
-    return mat
-
-
 def left_module_of(m: Bimodule) -> Representation:
     """Forget the right action; the left arrows act blockwise."""
     b, a = m.left, m.right
@@ -400,14 +390,10 @@ def left_module_of(m: Bimodule) -> Representation:
     dims = {
         u: sum(m.rep.dims[_tv(u, v)] for v in avs) for u in b.quiver.vertices
     }
-    maps = {}
-    for beta in b.quiver.arrows:
-        maps[beta.label] = _block_diag(
-            b.field,
-            [m.rep.maps[_lname(beta.label, v)] for v in avs],
-            [m.rep.dims[_tv(beta.target, v)] for v in avs],
-            [m.rep.dims[_tv(beta.source, v)] for v in avs],
-        )
+    maps = {
+        beta.label: block_diag(b.field, [m.rep.maps[_lname(beta.label, v)] for v in avs])
+        for beta in b.quiver.arrows
+    }
     return Representation(b, dims, maps, check=True)
 
 
@@ -419,14 +405,10 @@ def right_module_of(m: Bimodule) -> Representation:
     dims = {
         v: sum(m.rep.dims[_tv(u, v)] for u in bvs) for v in a.quiver.vertices
     }
-    maps = {}
-    for al in op.quiver.arrows:
-        maps[al.label] = _block_diag(
-            a.field,
-            [m.rep.maps[_rname(u, al.label)] for u in bvs],
-            [m.rep.dims[_tv(u, al.target)] for u in bvs],
-            [m.rep.dims[_tv(u, al.source)] for u in bvs],
-        )
+    maps = {
+        al.label: block_diag(a.field, [m.rep.maps[_rname(u, al.label)] for u in bvs])
+        for al in op.quiver.arrows
+    }
     return Representation(op, dims, maps, check=True)
 
 

@@ -101,12 +101,8 @@ class Representation:
             acc = f.zeros((self.dims[tgt], self.dims[src]))
             for c, p in r.terms:
                 acc = f.add(acc, f.scale(c, self.path_matrix(p)))
-            if f.char:
-                if (acc % f.char != 0).any():
-                    raise ValueError(f"relation {r} not satisfied")
-            else:
-                if any(x != 0 for x in acc.reshape(-1)):
-                    raise ValueError(f"relation {r} not satisfied")
+            if np.any(acc != 0):
+                raise ValueError(f"relation {r} not satisfied")
 
 
 @dataclass
@@ -163,14 +159,7 @@ class Morphism:
 
     @property
     def is_zero(self) -> bool:
-        for b in self.blocks.values():
-            if self.domain.field.char:
-                if (b != 0).any():
-                    return False
-            else:
-                if any(x != 0 for x in b.reshape(-1)):
-                    return False
-        return True
+        return not any(np.any(b != 0) for b in self.blocks.values())
 
     def is_mono(self) -> bool:
         return all(
@@ -289,17 +278,7 @@ def direct_sum(reps):
     a = reps[0].algebra
     f = a.field
     dims = {v: sum(r.dims[v] for r in reps) for v in a.quiver.vertices}
-    maps = {}
-    for arw in a.quiver.arrows:
-        mat = f.zeros((dims[arw.target], dims[arw.source]))
-        r0 = 0
-        c0 = 0
-        for r in reps:
-            b = r.maps[arw.label]
-            mat[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-            r0 += b.shape[0]
-            c0 += b.shape[1]
-        maps[arw.label] = mat
+    maps = {arw.label: block_diag(f, [r.maps[arw.label] for r in reps]) for arw in a.quiver.arrows}
     total = Representation(a, dims, maps, check=False)
     # each summand's injection is a column block of the identity, its
     # projection the matching row block
@@ -314,6 +293,17 @@ def direct_sum(reps):
         for v in a.quiver.vertices:
             off[v] += r.dims[v]
     return total, injections, projections
+
+
+def block_diag(f: FieldSpec, blocks) -> np.ndarray:
+    """The matrix with the given blocks down its diagonal and zeros elsewhere."""
+    mat = f.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r0 = c0 = 0
+    for b in blocks:
+        mat[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0 += b.shape[0]
+        c0 += b.shape[1]
+    return mat
 
 
 def sub_from_rows(m: Representation, rows: dict):
@@ -339,10 +329,7 @@ def sub_from_rows(m: Representation, rows: dict):
         bw = bases[w].T  # (m_w, s_w)
         rhs = f.matmul(m.maps[arw.label], bases[u].T)  # (m_w, s_u)
         if dims[w] == 0:
-            if f.char:
-                if (rhs % f.char != 0).any():
-                    raise ValueError("rows are not arrow stable")
-            elif any(x != 0 for x in rhs.reshape(-1)):
+            if np.any(rhs != 0):
                 raise ValueError("rows are not arrow stable")
             maps[arw.label] = f.zeros((0, dims[u]))
             continue
@@ -449,6 +436,37 @@ def quotient_stack(m: Representation, reds: dict):
 def cokernel(fm: Morphism):
     rows = {v: fm.blocks[v].T for v in fm.domain.algebra.quiver.vertices}
     return quotient_by_rows(fm.codomain, rows)
+
+
+def pushout(mono: Morphism, attach: Morphism):
+    """Pushout of a mono x -> y along any map attach: x -> z, with its
+    structure maps.
+
+    Returns (P, from_y, from_z, quotient) where quotient: y + z -> P
+    realizes P = coker(x -> y + z, w |-> (mono w, -attach w)).
+    """
+    y = mono.codomain
+    z = attach.codomain
+    _, injs, _ = direct_sum([y, z])
+    glue = injs[0].compose(mono).add(injs[1].compose(attach.scale(y.field.canon(-1))))
+    p, q = cokernel(glue)
+    return p, q.compose(injs[0]), q.compose(injs[1]), q
+
+
+def descend(epi: Morphism, target: Morphism) -> Morphism:
+    """The unique map g with g . epi = target, for an epi and a target that
+    vanishes on its kernel; a target that does not raises."""
+    f = epi.domain.field
+    blocks = {}
+    for v in epi.domain.algebra.quiver.vertices:
+        sol = exactla.solve_matrix(f, epi.blocks[v].T, target.blocks[v].T)
+        if sol is None:
+            raise CertificateError("map does not descend along the quotient")
+        blocks[v] = sol.T
+    out = Morphism(epi.codomain, target.codomain, blocks).verify()
+    if not _morph_eq(out.compose(epi), target):
+        raise CertificateError("descended map does not commute")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -763,34 +781,20 @@ class ExtResult:
 def middle_term(m: Representation, n: Representation, cls: Morphism, enclosing):
     """Middle term of the extension of m by n along cls: syzygy(m) -> n.
 
-    Built as the pushout coker(omega -> p0 + n).  Verifies exactness:
-    n embeds, the quotient maps onto m, dimensions match.
-    Returns (E, include_n, project_to_m).
+    Built as the pushout of omega -> p0 along cls, with the map onto m
+    descended from (epi, 0): p0 + n -> m through the pushout quotient.
+    Verifies exactness: n embeds, the map onto m is onto, dimensions match
+    and the composite is zero.  Returns (E, include_n, project_to_m).
     """
     omega, incl, p0, epi = enclosing
     f = m.field
-    total, injs, prjs = direct_sum([p0, n])
-    # omega -> p0 + n, w |-> (incl w, -cls w)
-    neg = cls.scale(f.canon(-1))
-    glue = injs[0].compose(incl).add(injs[1].compose(neg))
-    e, proj = cokernel(glue)
-    include_n = proj.compose(injs[1])
+    e, _, include_n, q = pushout(incl, cls)
     if not include_n.is_mono():
         raise CertificateError("extension does not embed the kernel term")
-    # map to m: descend (epi, 0) through the pushout quotient
-    lift_blocks = {}
-    for v in m.algebra.quiver.vertices:
-        # proj blocks have full row rank; solve a right inverse to lift e -> total
-        sol = exactla.solve_matrix(f, proj.blocks[v], f.eye(e.dims[v]))
-        if sol is None:
-            raise CertificateError("pushout projection has no right inverse")
-        lift_blocks[v] = sol
-    onto_m_blocks = {}
-    for v in m.algebra.quiver.vertices:
-        onto_m_blocks[v] = f.matmul(
-            epi.blocks[v], f.matmul(prjs[0].blocks[v], lift_blocks[v])
-        )
-    onto_m = Morphism(e, m, onto_m_blocks).verify()
+    onto_m = descend(q, Morphism(q.domain, m, {
+        v: np.concatenate([epi.blocks[v], f.zeros((m.dims[v], n.dims[v]))], axis=1)
+        for v in m.algebra.quiver.vertices
+    }))
     if not onto_m.is_epi():
         raise CertificateError("extension does not map onto the quotient term")
     if e.total_dim != m.total_dim + n.total_dim:
@@ -1046,18 +1050,13 @@ def _split_pieces(m: Representation, seed: int):
         if fixed.shape[0] <= 1:
             return [m]
         # a fixed vector outside the span of 1 lifts to a deterministic split
-        for vec in fixed:
-            lifted = f.zeros((ends.dim,))
-            lifted[s.basis_cols] = vec
-            for lam in range(f.char):
-                g = ends.element(f.sub(lifted, f.scale(lam, end.unit)))
-                if g.is_zero:
-                    continue
-                split = _fitting_split(m, g)
-                if split is not None:
-                    a, b = split
-                    return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
-        raise CertificateError("commutative split vector found no splitting")
+        lifted = f.zeros((len(fixed), ends.dim))
+        lifted[:, s.basis_cols] = fixed
+        split = _first_fitting_split(m, [ends.element(c) for c in lifted], list(f.elements()))
+        if split is None:
+            raise CertificateError("commutative split vector found no splitting")
+        a, b = split
+        return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
     # noncommutative semisimple quotient: decomposable; retry harder
     for extra in range(8):
         cands = [

@@ -84,7 +84,7 @@ class StableHomSpace:
 
     def is_stably_zero(self, morphism: Morphism) -> bool:
         vec = self.quotient_coords(morphism)
-        return not vec.size or not np.any(vec != 0)
+        return not np.any(vec != 0)
 
     def coset_basis(self):
         return [self.hom.basis[j] for j in self.free_cols]
@@ -190,10 +190,10 @@ def _solve_stable_inverse(f_mor: Morphism, end_m: StableHomSpace, end_n: StableH
     right = end_n.quotient_rows([f_mor.compose(b) for b in basis] + [identity_morphism(n)])
     mat = np.concatenate([left[:-1], right[:-1]], axis=1).T
     rhs = np.concatenate([left[-1], right[-1]])
-    sol = exactla.solve_raw(field, mat, rhs)
+    sol = exactla.solve_matrix(field, mat, rhs[:, None])
     if sol is None:
         return None
-    g = back.hom.element(sol)
+    g = back.hom.element(sol[:, 0])
     if not _stably_inverse(f_mor, g, end_m, end_n):
         raise CertificateError("solved stable inverse is not inverse")
     return g

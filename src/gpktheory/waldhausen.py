@@ -16,8 +16,11 @@ of that elimination also gives every unique mono's cokernel at once
 exactness certificate per vertex covers the pair's whole stack: mono ranks,
 quotient ranks, q . mono = 0 and the dimension count.  Weak equivalence
 classes are projective-stripped summand multisets.  Failed certificates
-raise exactla.CertificateError, so they also run under `python -O`; the
-gluing check counts only a non-GP pushout as a counterexample.  All of
+raise exactla.CertificateError, so they also run under `python -O`.  The
+gluing check builds its squares with `rep.pushout` and the induced map of
+pushouts with `rep.descend` of the block-diagonal ladder (`rep.block_diag`),
+the construction `rep.middle_term` uses for Ext^1 middle terms; it counts
+only a non-GP pushout as a counterexample.  All of
 this is independent of the relation rows that gorenstein.gp_catalog records
 for the ktheory module; agreement of the two groups is the repository's
 central cross-check.
@@ -43,8 +46,10 @@ from .rep import (
     Morphism,
     Representation,
     _invariant_battery,
+    block_diag,
     cokernel,
     decompose,
+    descend,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -52,6 +57,7 @@ from .rep import (
     is_isomorphic,
     is_projective,
     projective,
+    pushout,
     quotient_stack,
     zero_morphism,
     zero_rep,
@@ -103,13 +109,6 @@ class FiniteWaldhausenData:
     notes: list
     class_cache: dict = field(default_factory=dict)  # rep key -> class id or None
     battery_cache: dict = field(default_factory=dict)  # invariants -> [(rep, class)]
-
-    def class_of(self, rep: Representation) -> int:
-        """Weak class of a module built from catalog parts and projectives."""
-        cls = _weak_class(self, rep)
-        if cls is None:
-            raise ValueError("module has a non-GP summand; outside this category")
-        return cls
 
 
 def _weak_class(data: FiniteWaldhausenData, rep: Representation):
@@ -408,70 +407,16 @@ def k0_oracle(data: FiniteWaldhausenData) -> AbelianGroupDescription:
 
 
 # ---------------------------------------------------------------------------
-# pushouts and the gluing axiom
-
-
-def pushout(mono: Morphism, attach: Morphism):
-    """Pushout of a cofibration along any map, with its structure maps.
-
-    Returns (P, from_codomain_of_mono, from_codomain_of_attach, quotient)
-    where quotient: Y + Z -> P realizes P = coker(x -> (mono x, -attach x)).
-    """
-    y = mono.codomain
-    z = attach.codomain
-    f = y.field
-    _, injs, _ = direct_sum([y, z])
-    glue = injs[0].compose(mono).add(injs[1].compose(attach.scale(f.canon(-1))))
-    p, q = cokernel(glue)
-    return p, q.compose(injs[0]), q.compose(injs[1]), q
+# the gluing axiom
 
 
 def _induced_pushout_map(q: Morphism, qp: Morphism, vy: Morphism, vz: Morphism):
     """Unique map P -> P' with (map) . q = q' . (vy + vz)."""
     f = q.domain.field
-    _, _, prjs = direct_sum([vy.domain, vz.domain])
-    _, injs, _ = direct_sum([vy.codomain, vz.codomain])
-    ladder = (
-        injs[0].compose(vy).compose(_rehome(prjs[0], q.domain))
-        .add(injs[1].compose(vz).compose(_rehome(prjs[1], q.domain)))
-    )
-    rhs = qp.compose(_rehome_codomain(ladder, qp.domain))
-    blocks = {}
-    for v in q.domain.algebra.quiver.vertices:
-        sol = exactla.solve_matrix(f, q.blocks[v].T, rhs.blocks[v].T)
-        if sol is None:
-            raise CertificateError("induced map does not descend to the pushout")
-        blocks[v] = sol.T
-    out = Morphism(q.codomain, qp.codomain, blocks).verify()
-    if not _morphs_equal(out.compose(q), rhs):
-        raise CertificateError("induced pushout map does not commute")
-    return out
-
-
-def _rehome(mor: Morphism, new_domain: Representation) -> Morphism:
-    """Reattach canonical blocks to an equal-shaped concrete domain object."""
-    if new_domain.dim_vector != mor.domain.dim_vector:
-        raise ValueError("new domain has another dimension vector")
-    return Morphism(new_domain, mor.codomain, mor.blocks)
-
-
-def _rehome_codomain(mor: Morphism, new_codomain: Representation) -> Morphism:
-    if new_codomain.dim_vector != mor.codomain.dim_vector:
-        raise ValueError("new codomain has another dimension vector")
-    return Morphism(mor.domain, new_codomain, mor.blocks)
-
-
-def _morphs_equal(m1: Morphism, m2: Morphism) -> bool:
-    f = m1.domain.field
-    for v in m1.blocks:
-        d = f.sub(m1.blocks[v], m2.blocks[v])
-        if f.char:
-            if np.any(d != 0):
-                return False
-        else:
-            if any(x != 0 for x in d.reshape(-1)):
-                return False
-    return True
+    ladder = Morphism(q.domain, qp.domain, {
+        v: block_diag(f, [vy.blocks[v], vz.blocks[v]]) for v in q.blocks
+    })
+    return descend(q, qp.compose(ladder))
 
 
 @dataclass
@@ -609,7 +554,7 @@ def sample_s3_flags(data: FiniteWaldhausenData, count: int = 32, seed: int = 0):
         m12, m23 = c.mono, d.mono
         m13 = m23.compose(m12)
         c13, q13 = cokernel(m13)
-        iota = _descend(c.quotient, q13.compose(m23))
+        iota = descend(c.quotient, q13.compose(m23))
         if not iota.is_mono():
             raise CertificateError("induced subquotient map is not mono")
         flags.append(
@@ -626,21 +571,6 @@ def sample_s3_flags(data: FiniteWaldhausenData, count: int = 32, seed: int = 0):
             )
         )
     return flags
-
-
-def _descend(epi: Morphism, target: Morphism) -> Morphism:
-    """Unique map g with g . epi = target (epi has full row rank)."""
-    f = epi.domain.field
-    blocks = {}
-    for v in epi.domain.algebra.quiver.vertices:
-        sol = exactla.solve_matrix(f, epi.blocks[v].T, target.blocks[v].T)
-        if sol is None:
-            raise CertificateError("map does not descend along the quotient")
-        blocks[v] = sol.T
-    out = Morphism(epi.codomain, target.codomain, blocks).verify()
-    if not _morphs_equal(out.compose(epi), target):
-        raise CertificateError("descended map does not commute")
-    return out
 
 
 def s3_face_identities(flag: SnSimplex):

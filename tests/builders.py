@@ -95,13 +95,22 @@ def nakayama(field=GF2, n=2, length=2):
     return build_algebra(q, rels, field)
 
 
+def random_matrix(f, rng, shape):
+    """A matrix of f.random_scalar draws from rng, filled row by row."""
+    a = f.zeros(shape)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            a[i, j] = f.random_scalar(rng)
+    return a
+
+
 def twisted(m, rng):
     """m transported along a random invertible change of basis per vertex."""
     f = m.field
     basis = {}
     for v, d in m.dims.items():
         while True:
-            t = f.random_matrix(rng, (d, d))
+            t = random_matrix(f, rng, (d, d))
             if invert(f, t) is not None:
                 basis[v] = t
                 break
@@ -326,6 +335,47 @@ def reference_direct_sum_blocks(reps):
         injections.append(inj)
         projections.append(prj)
     return injections, projections
+
+
+# references for the pushout constructions -----------------------------------
+
+
+def reference_middle_term(m, n, cls, enclosing):
+    """rep.middle_term's (E, include_n, onto_m) built from the direct sum
+    p0 + n: E is the cokernel of w |-> (incl w, -cls w), and onto_m is
+    epi . pr_0 . L for L the right inverse of the quotient that
+    solve_matrix gives."""
+    from gpktheory.exactla import solve_matrix
+    from gpktheory.rep import Morphism, cokernel, direct_sum
+
+    omega, incl, p0, epi = enclosing
+    f = m.field
+    _, injs, prjs = direct_sum([p0, n])
+    glue = injs[0].compose(incl).add(injs[1].compose(cls.scale(f.canon(-1))))
+    e, proj = cokernel(glue)
+    onto = {}
+    for v in m.algebra.quiver.vertices:
+        lift = solve_matrix(f, proj.blocks[v], f.eye(e.dims[v]))
+        onto[v] = f.matmul(epi.blocks[v], f.matmul(prjs[0].blocks[v], lift))
+    return e, proj.compose(injs[1]), Morphism(e, m, onto)
+
+
+def reference_induced_pushout_map(q, qp, vy, vz):
+    """waldhausen._induced_pushout_map with its ladder composed from the
+    structure maps of two direct sums, inj_0 vy pr_0 + inj_1 vz pr_1, and
+    each block of the map solved from map . q = q' . ladder."""
+    from gpktheory.exactla import solve_matrix
+    from gpktheory.rep import Morphism, direct_sum
+
+    f = q.domain.field
+    _, _, prjs = direct_sum([vy.domain, vz.domain])
+    _, injs, _ = direct_sum([vy.codomain, vz.codomain])
+    legs = [inj.compose(v).compose(prj) for inj, v, prj in zip(injs, (vy, vz), prjs)]
+    blocks = {}
+    for v in q.blocks:
+        rhs = f.matmul(qp.blocks[v], f.add(legs[0].blocks[v], legs[1].blocks[v]))
+        blocks[v] = solve_matrix(f, q.blocks[v].T, rhs.T).T
+    return Morphism(q.codomain, qp.codomain, blocks)
 
 
 # references for the vectorized kernel and solver fills -----------------------

@@ -14,18 +14,21 @@ from gpktheory.rep import (
     cyclic_module,
     Morphism,
     decompose,
+    descend,
     direct_sum,
     dual_rep,
     ext,
     ext1_class_reps,
     hom_basis,
     hom_dim,
+    identity_morphism,
     is_isomorphic,
     is_projective,
     middle_term,
     projective,
     projective_cover,
     projective_dimension,
+    pushout,
     quotient_by_rows,
     quotient_stack,
     regular,
@@ -45,6 +48,8 @@ from builders import (
     loop_square_zero,
     reference_direct_sum_blocks,
     reference_hom_element,
+    reference_induced_pushout_map,
+    reference_middle_term,
     reference_quotient_by_rows,
     semisimple_two,
     twisted,
@@ -385,9 +390,10 @@ def test_restricted_map_certificate_raises(monkeypatch):
 
 @pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(65521), QQ], ids=lambda f: f.label)
 def test_hom_coords_match_solve_raw(field):
-    """HomSpace.coords gives exactla.solve_raw's solution, row for row and
-    of its type, on a hom basis, on a stable coset sub-basis and on a 0-dim
-    space, and raises on a row outside the span."""
+    """HomSpace.coords gives exactla.solve_matrix's solution for a one-column
+    right-hand side, row for row and of its type, on a hom basis, on a stable
+    coset sub-basis and on a 0-dim space, and raises on a row outside the
+    span."""
     a = alg61a(field)
     m = direct_sum([simple(a, "2"), simple(a, "2"), projective(a, "1")])[0]
     hs = hom_basis(m, m)
@@ -404,13 +410,13 @@ def test_hom_coords_match_solve_raw(field):
         stacked = space.coords_of(maps)
         assert stacked.shape == (len(maps), space.dim)
         for row, g in zip(stacked, maps):
-            want = exactla.solve_raw(field, mat, g.as_vector())
+            want = exactla.solve_matrix(field, mat, g.as_vector()[:, None])[:, 0]
             for got in (row, space.coords_of([g])[0]):
                 assert got.dtype == want.dtype
                 assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
     outside = hs.basis[stable._pivots[0]]
-    assert exactla.solve_raw(field, np.stack([g.as_vector() for g in coset.basis]).T,
-                             outside.as_vector()) is None
+    assert exactla.solve_matrix(field, np.stack([g.as_vector() for g in coset.basis]).T,
+                                outside.as_vector()[:, None]) is None
     with pytest.raises(CertificateError, match="escapes the hom space"):
         coset.coords_of([coset.basis[0], outside])
     nonzero = field.zeros((1, zero._coord_rows[0].shape[1]))
@@ -510,3 +516,92 @@ def test_quotient_stack_matches_the_per_item_loop(field):
                         assert _entries(pr.blocks[v]) == _entries(want_pr.blocks[v])
                 for v in verts:
                     assert _entries(proj[v][k]) == _entries(want_pr.blocks[v])
+
+
+# ---------------------------------------------------------------------------
+# pushout and descent
+
+
+def _same_blocks(got, want):
+    """Equal blocks at every vertex: dtype, shape, and each entry with its type."""
+    assert got.blocks.keys() == want.blocks.keys()
+    for v in want.blocks:
+        x, y = got.blocks[v], want.blocks[v]
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert [(type(u), u) for u in x.reshape(-1)] == [(type(u), u) for u in y.reshape(-1)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=lambda f: f.label)
+def test_middle_term_matches_the_right_inverse_construction(field):
+    """middle_term's pushout-and-descend build gives the middle term, the
+    inclusion of n and the map onto m of the direct-sum construction that
+    lifts through a right inverse of the quotient."""
+    checked = 0
+    for a in (alg61a(field), alg61b(field)):
+        mods = [simple(a, v) for v in a.quiver.vertices]
+        mods += [syzygy(s) for s in mods] + [projective(a, v) for v in a.quiver.vertices]
+        for m in mods:
+            for n in mods:
+                classes, enclosing = ext1_class_reps(m, n)
+                if not classes:
+                    continue
+                total = classes[0]
+                for c in classes[1:]:
+                    total = total.add(c)
+                for cls in classes + [total]:
+                    e, include_n, onto_m = middle_term(m, n, cls, enclosing)
+                    want_e, want_include, want_onto = reference_middle_term(m, n, cls, enclosing)
+                    assert e.key() == want_e.key()
+                    _same_blocks(include_n, want_include)
+                    _same_blocks(onto_m, want_onto)
+                    checked += 1
+    assert checked >= 4
+
+
+def test_descend_raises_on_a_target_that_misses_the_kernel():
+    """descend factors a map through an epi when the map vanishes on the
+    kernel, and raises when it does not."""
+    a = alg61b(GF3)
+    m = simple(a, "1")
+    p, epi = projective_cover(m)
+    assert p.total_dim > m.total_dim
+    _same_blocks(descend(epi, epi), identity_morphism(m))
+    with pytest.raises(CertificateError, match="does not descend"):
+        descend(epi, identity_morphism(p))
+
+
+def test_pushout_square_commutes():
+    """Pushing omega -> p0 out along an Ext^1 class omega -> n: the square
+    commutes and dim P = dim p0 + dim n - dim omega."""
+    a = alg61b(GF3)
+    m, n = simple(a, "1"), simple(a, "2")
+    classes, (omega, incl, p0, _) = ext1_class_reps(m, n)
+    assert classes
+    po, from_p0, from_n, _ = pushout(incl, classes[0])
+    _same_blocks(from_p0.compose(incl), from_n.compose(classes[0]))
+    assert po.total_dim == p0.total_dim + n.total_dim - omega.total_dim
+
+
+@pytest.mark.parametrize("make, p", [(loop_square_zero, 2), (alg61b, 3)],
+                         ids=["kx2/GF(2)", "61B/GF(3)"])
+def test_induced_pushout_map_matches_the_direct_sum_ladder(monkeypatch, make, p):
+    """The gluing check's induced maps of pushouts, descended along the
+    block-diagonal ladder, equal those of the ladder composed from two
+    direct sums, on every ladder kind of a depth-1 run."""
+    from gpktheory import waldhausen
+    from gpktheory.gorenstein import gp_catalog
+
+    data = waldhausen.build_wdata(gp_catalog(make(FieldSpec(p))), depth=1)
+    seen = []
+    induced = waldhausen._induced_pushout_map
+
+    def recorded(q, qp, vy, vz):
+        out = induced(q, qp, vy, vz)
+        _same_blocks(out, reference_induced_pushout_map(q, qp, vy, vz))
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(waldhausen, "_induced_pushout_map", recorded)
+    report = waldhausen.gluing_check(data, trials=9, seed=5)
+    assert report.ok and len(seen) == 9
+

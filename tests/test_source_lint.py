@@ -1,7 +1,8 @@
 """Source checks on the package: no assert statements (they vanish under
 `python -O`), only exactla compares against EXHAUSTIVE_CAP (one
 exhaustive-or-sampled policy), per-algebra caches go through the one
-memo, and README's module table names every memo site."""
+memo, README's module table names every memo site, and each module-map
+primitive has one definition, in rep.py."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,22 @@ def test_every_memo_site_is_named_in_the_readme_module_table():
     assert sites, "no memo sites found"
     missing = sorted(f"{name}: {site}" for name, site in sites if f"`{site}`" not in table)
     assert not missing, f"memo sites missing from README's module table: {missing}"
+
+
+def test_module_map_primitives_are_defined_once_in_rep():
+    """The pushout, the descent through an epi and the block-diagonal
+    matrix have one definition each, in rep.py; a private copy of one
+    (`_descend`, `_block_diag`) counts as a second."""
+    primitives = ("pushout", "descend", "block_diag")
+    homes = {
+        name: sorted(
+            f"{file}:{node.lineno}"
+            for file, tree in _trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == name
+        )
+        for name in primitives
+    }
+    misplaced = {name: where for name, where in homes.items()
+                 if len(where) != 1 or not where[0].startswith("rep.py:")}
+    assert not misplaced, f"primitives not defined exactly once, in rep.py: {misplaced}"
