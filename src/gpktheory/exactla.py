@@ -45,40 +45,37 @@ def is_exhaustive(f: FieldSpec, n: int) -> bool:
     return bool(f.char) and f.char**n <= EXHAUSTIVE_CAP
 
 
-def coeff_vectors(f: FieldSpec, n: int, *, lines=True, seed=0, tries=0):
+def coeff_vectors(f: FieldSpec, n: int, *, seed=0, tries=0):
     """(vectors, exhaustive): the coefficient vectors a search over f^n tests.
 
-    Exhaustive (`is_exhaustive`): an int64 array with every vector of
-    GF(p)^n as a row, in increasing base-p order (entry i is digit i).
-    With `lines`, only the first vector of each line, the one whose last
-    nonzero entry is 1, so a search for a property that nonzero scalars
-    preserve finds the same first hit as among all vectors.  For n = 0 that
-    is the zero vector, and no lines.  For n = 1 it is the unit vector [[1]],
-    the one line, at every prime and over QQ.
+    Exhaustive (`is_exhaustive`): an int64 array with one vector per line
+    of GF(p)^n as a row, the one whose last nonzero entry is 1, in
+    increasing base-p order (entry i is digit i), so a search for a
+    property that nonzero scalars preserve finds the same first hit as
+    among all vectors.  For n = 0 there are no lines.  For n = 1 it is the
+    unit vector [[1]], the one line, at every prime and over QQ.
 
     Otherwise sampled: `sampled_coeff_vectors(f, n, seed, tries)`.
     """
-    if lines and n == 1:
+    if n == 1:
         return np.ones((1, 1), dtype=np.int64), True
     if not is_exhaustive(f, n):
         return sampled_coeff_vectors(f, n, seed, tries), False
-    p = f.char
+    # last nonzero entry 1 at position k: the numbers p**k .. 2 * p**k - 1
+    # (none when n = 0)
+    places = f.char ** np.arange(n, dtype=np.int64)
+    x = np.concatenate([np.arange(s, 2 * s) for s in places] or [places])
     # row x holds the base-p digits of x, least significant first
-    every = np.indices((p,) * n, dtype=np.int64).reshape(n, p**n)[::-1].T
-    if not lines:
-        return every, True
-    # last nonzero entry 1 at position k: the rows p**k .. 2 * p**k - 1 (none
-    # when n = 0)
-    starts = p ** np.arange(n, dtype=np.int64)
-    return every[np.concatenate([np.arange(s, 2 * s) for s in starts] or [starts])], True
+    return x[:, None] // places % f.char, True
 
 
 def sampled_coeff_vectors(f: FieldSpec, n: int, seed: int, tries: int):
     """The n unit vectors, then `tries` draws of f.random_scalar from
     Random(seed) with the zero draws dropped, as lists, lazily.
 
-    The sampled branch of `coeff_vectors`; a search that samples before an
-    exhaustive certificate takes it directly.
+    The sampled branch of `coeff_vectors`; `rep.decompose` takes it
+    directly for its first, sampled split search, which every size runs
+    before the End(m) / rad certificate.
     """
     for i in range(n):
         yield [int(i == j) for j in range(n)]

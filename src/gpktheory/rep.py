@@ -438,19 +438,18 @@ def cokernel(fm: Morphism):
     return quotient_by_rows(fm.codomain, rows)
 
 
-def pushout(mono: Morphism, attach: Morphism):
-    """Pushout of a mono x -> y along any map attach: x -> z, with its
-    structure maps.
+def pushout(mono: Morphism, attach: Morphism) -> Morphism:
+    """Pushout of a mono x -> y along any map attach: x -> z.
 
-    Returns (P, from_y, from_z, quotient) where quotient: y + z -> P
-    realizes P = coker(x -> y + z, w |-> (mono w, -attach w)).
+    Returns the quotient q: y + z -> P = coker(x -> y + z, w |-> (mono w,
+    -attach w)), with P = q.codomain.  The structure maps are q's column
+    blocks: y's columns first, then z's.
     """
     y = mono.codomain
     z = attach.codomain
     _, injs, _ = direct_sum([y, z])
     glue = injs[0].compose(mono).add(injs[1].compose(attach.scale(y.field.canon(-1))))
-    p, q = cokernel(glue)
-    return p, q.compose(injs[0]), q.compose(injs[1]), q
+    return cokernel(glue)[1]
 
 
 def descend(epi: Morphism, target: Morphism) -> Morphism:
@@ -788,7 +787,9 @@ def middle_term(m: Representation, n: Representation, cls: Morphism, enclosing):
     """
     omega, incl, p0, epi = enclosing
     f = m.field
-    e, _, include_n, q = pushout(incl, cls)
+    q = pushout(incl, cls)
+    e = q.codomain
+    include_n = Morphism(n, e, {v: q.blocks[v][:, p0.dims[v] :] for v in q.blocks})
     if not include_n.is_mono():
         raise CertificateError("extension does not embed the kernel term")
     onto_m = descend(q, Morphism(q.domain, m, {
@@ -882,14 +883,14 @@ def cyclic_module(a: FiniteDimAlgebra, x):
 # isomorphy and decomposition
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: int = 128):
+def is_isomorphic(m: Representation, n: Representation, tries: int = 128):
     """(answer, witness): searches for an invertible module map.
 
     Positive answers are certified by the witness.  A negative answer is
     certified when the dimension vectors differ or the candidate search was
     exhaustive; a negative from a sampled search is not certified.  The
-    search is memoized per algebra on the modules' bytes, the seed and the
-    tries; the witness is always returned as a map from this m to this n.
+    search is memoized per algebra on both modules' bytes and the tries;
+    the witness is always returned as a map from this m to this n.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
@@ -897,14 +898,14 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0, tries: in
         return True, zero_morphism(m, n)
 
     def search():
-        ok, witness = _find_isomorphism(m, n, seed, tries)
+        ok, witness = _find_isomorphism(m, n, tries)
         return ok, (witness.blocks if ok else None)
 
-    ok, blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key(), seed, tries), search)
+    ok, blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key(), tries), search)
     return ok, (Morphism(m, n, dict(blocks)) if ok else None)
 
 
-def _find_isomorphism(m: Representation, n: Representation, seed: int, tries: int):
+def _find_isomorphism(m: Representation, n: Representation, tries: int):
     """The uncached search of `is_isomorphic` for nonzero m, n of one dim vector."""
     hs = hom_basis(m, n)
     if hs.dim == 0:
@@ -913,7 +914,7 @@ def _find_isomorphism(m: Representation, n: Representation, seed: int, tries: in
     # suffices.  Sampled: isomorphisms, when they exist, fill a GL-sized
     # fraction of the hom space, so a seeded random sweep is likely to find
     # one, but a sampled negative is not certified
-    coeffs, _ = coeff_vectors(m.field, hs.dim, seed=seed, tries=tries)
+    coeffs, _ = coeff_vectors(m.field, hs.dim, tries=tries)
     for c in coeffs:
         cand = hs.element(c)
         if cand.is_iso():
@@ -929,25 +930,21 @@ def _invariant_battery(m: Representation):
     return (m.dim_vector, tops, rads, endo)
 
 
-def _power(f: FieldSpec, mat: np.ndarray, k: int) -> np.ndarray:
-    out = f.eye(mat.shape[0])
-    base = mat
-    while k:
-        if k & 1:
-            out = f.matmul(out, base)
-        base = f.matmul(base, base)
-        k >>= 1
-    return out
-
-
 def _fitting_split(m: Representation, g: Morphism):
-    """Split m = ker(g^N) + im(g^N) when both parts are nonzero."""
+    """Split m = ker(g^N) + im(g^N) when both parts are nonzero.
+
+    At each vertex v, g is squared up to the power N = 2^k >= d_v, where
+    the kernel and image of the powers of a d_v x d_v matrix have settled.
+    """
     f = m.field
-    n = m.total_dim
-    powered = {v: _power(f, g.blocks[v], max(n, 1)) for v in g.blocks}
+    powered = {}
+    for v, block in g.blocks.items():
+        for _ in range((m.dims[v] - 1).bit_length()):
+            block = f.matmul(block, block)
+        powered[v] = block
     # g invertible or nilpotent (kernel 0 or all of m) is read off the ranks
     ker_dim = sum(m.dims[v] - exactla.rank_of(f, powered[v]) for v in powered)
-    if ker_dim == 0 or ker_dim == n:
+    if ker_dim == 0 or ker_dim == m.total_dim:
         return None
     gm = Morphism(m, m, powered)
     ker, _ = kernel_subrep(gm)
@@ -957,35 +954,35 @@ def _fitting_split(m: Representation, g: Morphism):
     return ker, img
 
 
-def decompose(m: Representation, seed: int = 0):
+def decompose(m: Representation):
     """Indecomposable summands with multiplicities, canonically ordered.
 
     Summands are split off by Fitting's lemma: m = ker(g^N) + im(g^N) for
-    shifts g - lam of sampled endomorphisms g.  Over finite fields the
-    shifts that cannot split m are screened out first: one stacked rank
-    test per vertex finds the singular shifts, and one stacked rank test
-    of their powers rejects the nilpotent ones, so `_fitting_split` runs
-    only on shifts that split.  Failure to split is then
-    certified through the endomorphism ring A = End(m), a
-    `StructureAlgebra` on the coordinates of the hom basis: a batched
-    exhaustive search for a nontrivial idempotent when A is small, and
-    otherwise S = A / rad A, which is a field exactly when m is
-    indecomposable.  A commutative S splits into as many fields as its
-    Frobenius fixed space has dimensions, and a fixed vector outside the
-    scalars gives a split; a noncommutative S means m is decomposable.
-    Over QQ only opportunistic splitting is available and FieldUnsupported
-    is raised when certification would be required.  Pieces are memoized
-    per algebra (`_decompose_rec`), so a summand met again is not split
-    again.
+    shifts g - lam of sampled endomorphisms g.  Over finite fields one
+    stacked rank test per vertex of the shifts' powers
+    (`_shift_fitting_kernels`) keeps only the shifts that split, so
+    `_fitting_split` runs only on those.  When no sampled shift splits,
+    the certificate is S = End(m) / rad, with End(m) a `StructureAlgebra`
+    on the coordinates of the hom basis: m is indecomposable exactly when
+    S is a field.  S = GF(p) is read off the radical's dimension.  A
+    commutative S splits into as many fields as its Frobenius fixed space
+    has dimensions, and a fixed vector outside the scalars gives a split.
+    A noncommutative S means m is decomposable, and one search over End(m)
+    finds the split: over every line when `coeff_vectors` is exhaustive,
+    where the line of a nontrivial idempotent splits, otherwise over
+    seeded draws.  Over QQ only opportunistic splitting is available and
+    FieldUnsupported is raised when certification would be required.
+    Pieces are memoized per algebra (`_decompose_rec`), so a summand met
+    again is not split again.
     """
     if m.is_zero:
         return []
-    pieces = _decompose_rec(m, seed)
+    pieces = _decompose_rec(m, 0)
     # group by isomorphy
     classes = []
     for piece in pieces:
         for cls in classes:
-            ok, _ = is_isomorphic(cls[0], piece, seed)
+            ok, _ = is_isomorphic(cls[0], piece)
             if ok:
                 cls[1] += 1
                 break
@@ -997,7 +994,8 @@ def decompose(m: Representation, seed: int = 0):
 
 def _decompose_rec(m: Representation, seed: int):
     """Indecomposable pieces of m, in split order, memoized per algebra on
-    the module's bytes and the seed.  Returns a fresh list on every call."""
+    the module's bytes and the seed, which grows by one per split depth.
+    Returns a fresh list on every call."""
     if m.is_zero:
         return []
     return list(m.algebra.memo("decompose", (m.key(), seed),
@@ -1015,75 +1013,56 @@ def _split_pieces(m: Representation, seed: int):
     cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, seed, 8)]
     lambdas = list(f.elements()) if f.char else [0, 1, -1, 2, -2]
     split = _first_fitting_split(m, cands, lambdas)
-    if split is not None:
-        a, b = split
-        return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
-    if not f.char:
+    if split is None and not f.char:
         raise FieldUnsupported("cannot certify indecomposability over QQ")
-    # certification over GF(p)
-    every, exhaustive = coeff_vectors(f, ends.dim, lines=False)
-    if exhaustive:
-        coeffs = _first_idempotent(ends, every)
-        if coeffs is None:
-            return [m]
-        e = ends.element(coeffs)
-        if (
-            e.is_zero
-            or _morph_eq(e, identity_morphism(m))
-            or not _morph_eq(e.compose(e), e)
-        ):
-            raise CertificateError("batched idempotent search returned a non-idempotent")
-        # nontrivial idempotent: m = im(e) + ker(e)
-        img, _ = image_subrep(e)
-        ker, _ = kernel_subrep(e)
-        if img.total_dim + ker.total_dim != m.total_dim or img.is_zero or ker.is_zero:
-            raise CertificateError("idempotent does not split the module")
-        return _decompose_rec(img, seed + 1) + _decompose_rec(ker, seed + 1)
-    # m is indecomposable iff End(m) / rad is a field
-    end = _end_algebra(ends)
-    s = end.quotient(end.radical())
-    if s.dim <= 1:
-        return [m]
-    if s.is_commutative():
-        # S is a product of fields, one per dimension of the Frobenius fixed space
-        fixed = exactla.kernel(f, f.sub(s.frobenius(), f.eye(s.dim)))
-        if fixed.shape[0] <= 1:
-            return [m]
-        # a fixed vector outside the span of 1 lifts to a deterministic split
-        lifted = f.zeros((len(fixed), ends.dim))
-        lifted[:, s.basis_cols] = fixed
-        split = _first_fitting_split(m, [ends.element(c) for c in lifted], list(f.elements()))
-        if split is None:
-            raise CertificateError("commutative split vector found no splitting")
-        a, b = split
-        return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
-    # noncommutative semisimple quotient: decomposable; retry harder
-    for extra in range(8):
-        cands = [
-            ends.element(c)
-            for c in sampled_coeff_vectors(f, ends.dim, seed + 1000 + extra, 64)
-        ]
-        split = _first_fitting_split(m, cands, list(f.elements()))
-        if split is not None:
-            a, b = split
-            return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
-    raise RuntimeError("module is provably decomposable but no splitting was found")
+    if split is None:
+        # certification over GF(p): m is indecomposable iff S = End(m) / rad is a field
+        end = _end_algebra(ends)
+        rad = end.radical()
+        if ends.dim - rad.shape[0] == 1:
+            return [m]  # S = GF(p)
+        s = end.quotient(rad)
+        if s.is_commutative():
+            # S is a product of fields, one per dimension of the Frobenius fixed space
+            fixed = exactla.kernel(f, f.sub(s.frobenius(), f.eye(s.dim)))
+            if fixed.shape[0] <= 1:
+                return [m]
+            # a fixed vector outside the span of 1 lifts to a deterministic split
+            lifted = f.zeros((len(fixed), ends.dim))
+            lifted[:, s.basis_cols] = fixed
+            split = _first_fitting_split(m, [ends.element(c) for c in lifted], lambdas)
+            if split is None:
+                raise CertificateError("commutative split vector found no splitting")
+        else:
+            # noncommutative S: m is decomposable.  An exhaustive search lists
+            # every line of End(m), and the line of a nontrivial idempotent
+            # splits at lam = 0, so only a sampled search can miss
+            coeffs, exhaustive = coeff_vectors(f, ends.dim, seed=seed + 1000, tries=512)
+            split = _first_fitting_split(m, [ends.element(c) for c in coeffs], lambdas)
+            if split is None:
+                raise (CertificateError if exhaustive else RuntimeError)(
+                    "module is provably decomposable but no splitting was found"
+                )
+    a, b = split
+    return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
 
 
 # bytes a temporary of the stacked searches below may take
 _STACK_BYTES = exactla.STACK_BYTES
 
 
-def _shift_singular_mask(m: Representation, cands, lambdas) -> np.ndarray:
-    """mask[i, j]: cands[i] - lambdas[j] * 1 is singular at some vertex.
+def _shift_fitting_kernels(m: Representation, cands, lambdas) -> np.ndarray:
+    """kernels[i, j] = dim ker (cands[i] - lambdas[j] * 1)^N for large N.
 
-    Over GF(p) only.  One stacked row reduction per vertex ranks the
-    shifts of every candidate by every scalar, in chunks that keep each
-    temporary under _STACK_BYTES.
+    Over GF(p) only.  Every shift is raised, at each vertex v, to a power
+    2^k >= d_v by batched squaring, where the kernels of the powers of a
+    d_v x d_v matrix have settled; one stacked row reduction per vertex and
+    chunk then ranks the powers.  Chunks keep each temporary under
+    _STACK_BYTES.
     """
     p = m.field.char
     lam = np.asarray(lambdas, dtype=np.int64)
-    mask = np.zeros(len(cands) * lam.size, dtype=bool)
+    kernels = np.zeros(len(cands) * lam.size, dtype=np.int64)
     for v in m.algebra.quiver.vertices:
         d = m.dims[v]
         if d == 0:
@@ -1091,36 +1070,8 @@ def _shift_singular_mask(m: Representation, cands, lambdas) -> np.ndarray:
         blocks = np.stack([g.blocks[v] for g in cands])
         eye = np.eye(d, dtype=np.int64)
         chunk = max(1, _STACK_BYTES // (8 * d * d))
-        for start in range(0, mask.size, chunk):
-            k = np.arange(start, min(start + chunk, mask.size))
-            shifts = blocks[k // lam.size] - lam[k % lam.size, None, None] * eye
-            _, ranks = exactla.rref_stack_fp(shifts, p)
-            mask[k] |= ranks < d
-    return mask.reshape(len(cands), lam.size)
-
-
-def _shift_fitting_kernels(m: Representation, cands, lambdas) -> np.ndarray:
-    """kernels[i, j] = dim ker (cands[i] - lambdas[j] * 1)^N for large N.
-
-    Over GF(p) only.  Shifts invertible at every vertex (`_shift_singular_mask`)
-    have kernel 0.  Each singular shift is raised, at each vertex v, to a
-    power 2^k >= d_v by batched squaring, where the rank of the powers of a
-    d_v x d_v matrix has settled; one stacked row reduction per vertex then
-    ranks the powers.  Chunks keep each temporary under _STACK_BYTES.
-    """
-    p = m.field.char
-    lam = np.asarray(lambdas, dtype=np.int64)
-    singular = np.flatnonzero(_shift_singular_mask(m, cands, lambdas))
-    kernels = np.zeros(len(cands) * lam.size, dtype=np.int64)
-    for v in m.algebra.quiver.vertices:
-        d = m.dims[v]
-        if d == 0 or singular.size == 0:
-            continue
-        blocks = np.stack([g.blocks[v] for g in cands])
-        eye = np.eye(d, dtype=np.int64)
-        chunk = max(1, _STACK_BYTES // (8 * d * d))
-        for start in range(0, singular.size, chunk):
-            k = singular[start : start + chunk]
+        for start in range(0, kernels.size, chunk):
+            k = np.arange(start, min(start + chunk, kernels.size))
             powers = blocks[k // lam.size] - lam[k % lam.size, None, None] * eye
             for _ in range((d - 1).bit_length()):
                 powers = (powers @ powers) % p
@@ -1172,29 +1123,6 @@ def _end_algebra(ends: HomSpace) -> StructureAlgebra:
         table[rows] = ends.coords(flat).reshape(-1, e, e)
     unit = ends.coords_of([identity_morphism(m)])[0]
     return StructureAlgebra(m.field, table, unit)
-
-
-def _first_idempotent(ends: HomSpace, candidates: np.ndarray):
-    """The first row of `candidates` that is the coefficient vector of an
-    idempotent other than 0 and 1 in End(m), as a list, or None.  Over GF(p)
-    only.
-
-    Rows are tested in batches with the product of `_end_algebra`, each
-    batch sized so the product's temporaries stay under _STACK_BYTES.
-    """
-    end = _end_algebra(ends)
-    e = ends.dim
-    batch = max(1, _STACK_BYTES // (8 * e * e))
-    for start in range(0, len(candidates), batch):
-        coeffs = candidates[start : start + batch]
-        hits = (
-            (end.mult(coeffs, coeffs) == coeffs).all(axis=1)
-            & coeffs.any(axis=1)
-            & (coeffs != end.unit).any(axis=1)
-        )
-        if hits.any():
-            return [int(c) for c in coeffs[hits.argmax()]]
-    return None
 
 
 def _morph_eq(a: Morphism, b: Morphism) -> bool:

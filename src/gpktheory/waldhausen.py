@@ -465,7 +465,7 @@ def gluing_check(data: FiniteWaldhausenData, trials: int = 100, seed: int = 0) -
         y = data.objects[c.dst].rep
         z = data.objects[rng.randrange(len(data.objects))].rep
         attach = _random_hom(x, z, rng)
-        _, _, _, q = pushout(c.mono, attach)
+        q = pushout(c.mono, attach)
         kind = t % 3
         if kind == 0:
             # conjugate by automorphisms of x and y (isomorphism verticals)
@@ -489,7 +489,7 @@ def gluing_check(data: FiniteWaldhausenData, trials: int = 100, seed: int = 0) -
             vy, vz = identity_morphism(y), injs[0]
         if not mono2.is_mono():
             raise CertificateError("modified cofibration is not a monomorphism")
-        _, _, _, q2 = pushout(mono2, attach2)
+        q2 = pushout(mono2, attach2)
         p, p2 = q.codomain, q2.codomain
         phi = _induced_pushout_map(q, q2, vy, vz)
         end_p = _space_cache(p, p)

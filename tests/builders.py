@@ -124,6 +124,18 @@ def twisted(m, rng):
     return Representation(m.algebra, dict(m.dims), maps)
 
 
+def matrix_power(f, mat, k):
+    """mat^k by repeated squaring: the reference power of the Fitting tests."""
+    out = f.eye(mat.shape[0])
+    base = mat
+    while k:
+        if k & 1:
+            out = f.matmul(out, base)
+        base = f.matmul(base, base)
+        k >>= 1
+    return out
+
+
 def seeded_sums(a, rng):
     """Two direct sums of catalog items and projectives, one of them twisted."""
     from gpktheory.gorenstein import gp_catalog

@@ -410,3 +410,56 @@ def test_text_output_mentions_verdict_and_groups():
     assert "CMFinite" in out
     assert "K0 (stable): Z/2" in out
     assert "Gorenstein: yes, dimension 0" in out
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: stdout, stderr and exit code of fixed commands, byte for byte
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def golden_cases():
+    """(name, argv) of every command whose output is kept in tests/golden."""
+    cases = [
+        (f"analyze-{Path(n).stem}", ["analyze", n, "--json"])
+        for n in ("example61A.alg", "example61B.alg", "example62A.alg",
+                  "example62B.alg", "kx2.alg", "semisimple2.alg")
+    ]
+    for a, b in (("61A", "61B"), ("62A", "62B")):
+        for p in (3, 5, 7):
+            cases.append((f"compare-{a}-{b}-gf{p}", [
+                "compare", f"example{a}.alg", f"example{b}.alg", "--json", "--field", str(p)]))
+    for n in ("kx2.alg", "example61A.alg", "example62B.alg"):
+        cases.append((f"oracle-k0-{Path(n).stem}",
+                      ["oracle-k0", n, "--json", "--depth", "1"]))
+    for p in (2, 3, 0):
+        cases.append((f"semt-kx2-regular-field{p}", [
+            "semt", "kx2.alg", "kx2.alg", "kx2_regular.bim", "kx2_regular.bim",
+            "--json", "--field", str(p)]))
+    return cases
+
+
+def write_golden():
+    """Rewrite tests/golden from the current code: <name>.stdout per case and
+    index.json with each case's argv, exit code and stderr."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    index = {}
+    for name, argv in golden_cases():
+        code, out, err = run(argv)
+        (GOLDEN_DIR / f"{name}.stdout").write_text(out)
+        index[name] = {"argv": argv, "exit": code, "stderr": err}
+    (GOLDEN_DIR / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name, argv", golden_cases(), ids=[c[0] for c in golden_cases()])
+def test_golden_output(name, argv):
+    kept = json.loads((GOLDEN_DIR / "index.json").read_text())[name]
+    assert kept["argv"] == argv
+    code, out, err = run(argv)
+    assert (code, err) == (kept["exit"], kept["stderr"])
+    assert out == (GOLDEN_DIR / f"{name}.stdout").read_text()
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py rewrites the golden files
+    write_golden()

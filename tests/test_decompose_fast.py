@@ -1,5 +1,5 @@
-"""decompose's screened Fitting search and batched idempotent test against the
-plain loops they replace, kept here as the reference."""
+"""decompose's screened Fitting search and End(m) / rad certificate against
+the plain loops they replace, kept here as the reference."""
 
 from random import Random
 
@@ -9,12 +9,14 @@ import pytest
 from gpktheory import exactla, rep
 from gpktheory.exactla import FieldSpec
 from gpktheory.gorenstein import gp_catalog
+from gpktheory.presentation import FiniteDimAlgebra
 from gpktheory.rep import (
     Representation,
     cyclic_module,
     direct_sum,
     hom_basis,
     identity_morphism,
+    is_isomorphic,
     projective,
     simple,
 )
@@ -26,6 +28,7 @@ from builders import (
     alg62b,
     all_coeff_vectors,
     loop_square_zero,
+    matrix_power,
     nakayama,
     seeded_sums,
     twisted,
@@ -49,7 +52,7 @@ PRIMES = (2, 3, 5, 7)
 def _ref_fitting_split(m, g):
     f = m.field
     n = m.total_dim
-    powered = {v: rep._power(f, g.blocks[v], max(n, 1)) for v in g.blocks}
+    powered = {v: matrix_power(f, g.blocks[v], max(n, 1)) for v in g.blocks}
     gm = rep.Morphism(m, m, powered)
     ker, _ = rep.kernel_subrep(gm)
     if ker.is_zero or ker.total_dim == m.total_dim:
@@ -172,32 +175,6 @@ def _cands(m, seed=0):
     ]
 
 
-@pytest.mark.parametrize("stack_bytes", [rep._STACK_BYTES, 64])
-def test_singular_mask_matches_rank_of(monkeypatch, stack_bytes):
-    monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
-    rng = Random(3)
-    modules = [_twisted_sum_gf3()]
-    for p in (2, 5, 7):
-        a = alg61b(FieldSpec(p))
-        modules += seeded_sums(a, rng)
-        # shifts singular at one vertex only
-        modules.append(twisted(direct_sum([simple(a, "1"), simple(a, "2")])[0], rng))
-        modules.append(direct_sum([projective(a, "2"), simple(a, "1")])[0])
-    for m in modules:
-        f = m.field
-        cands = _cands(m)
-        lambdas = list(f.elements())
-        mask = rep._shift_singular_mask(m, cands, lambdas)
-        for i, g in enumerate(cands):
-            for j, lam in enumerate(lambdas):
-                singular = any(
-                    exactla.rank_of(f, f.sub(g.blocks[v], f.scale(lam, f.eye(d)))) < d
-                    for v, d in m.dims.items()
-                    if d
-                )
-                assert mask[i, j] == singular
-
-
 def test_fitting_rank_reject_matches_kernel_test():
     rng = Random(4)
     for p in (3, 5):
@@ -227,29 +204,52 @@ def _idempotent_cases():
     ]
 
 
+def _same_summands(got, want):
+    """Equal dim vectors and multiplicities, with isomorphic pieces."""
+    assert sorted((x.dim_vector, k) for x, k in got) == sorted((x.dim_vector, k) for x, k in want)
+    for x, k in got:
+        assert any(k == j and is_isomorphic(x, y)[0] for y, j in want)
+
+
 @pytest.mark.parametrize("stack_bytes", [rep._STACK_BYTES, 64])
 @pytest.mark.parametrize("label,m,splits", _idempotent_cases())
 def test_batched_idempotent_matches_scalar_loop(monkeypatch, stack_bytes, label, m, splits):
+    """With the sampled first step patched to miss, End(m) / rad certifies
+    every split: m stays whole exactly when the scalar enumeration of
+    End(m) finds no nontrivial idempotent, and otherwise it splits into the
+    summands of unpatched `decompose`."""
     monkeypatch.setattr(rep, "_STACK_BYTES", stack_bytes)
     ends = hom_basis(m, m)
-    assert 1 < ends.dim and m.field.char**ends.dim <= 4096  # the exhaustive branch
-    every, exhaustive = exactla.coeff_vectors(m.field, ends.dim, lines=False)
-    assert exhaustive
-    found = rep._first_idempotent(ends, every)
-    assert found == _ref_first_idempotent(ends)
-    assert (found is not None) == splits
-
+    assert 1 < ends.dim and m.field.char**ends.dim <= 4096  # an exhaustive line search
+    idempotent = _ref_first_idempotent(ends)
+    assert (idempotent is not None) == splits
+    commutative = []
+    is_commutative = exactla.StructureAlgebra.is_commutative
+    with monkeypatch.context() as mp:
+        mp.setattr(rep, "sampled_coeff_vectors", lambda f, n, seed, tries: iter([[0] * n]))
+        mp.setattr(FiniteDimAlgebra, "memo", lambda self, site, key, build: build())
+        mp.setattr(exactla.StructureAlgebra, "is_commutative",
+                   lambda s: commutative.append(is_commutative(s)) or commutative[-1])
+        got = rep.decompose(m)
+    if idempotent is None:
+        assert [(x.key(), k) for x, k in got] == [(m.key(), 1)]
+        return
+    _same_summands(got, rep.decompose(m))
+    # only X + X has a noncommutative End / rad, split by the exhaustive line search
+    assert (False in commutative) == (label == "twisted sum")
 
 
 def _ref_singular_shift_split(m, cands, lambdas):
     """The per-shift loop the kernel screen replaces: `_fitting_split` on
-    every shift the singularity mask keeps."""
+    every shift that is singular at some vertex."""
     f = m.field
-    mask = rep._shift_singular_mask(m, cands, lambdas)
     ident = identity_morphism(m)
-    for i, g in enumerate(cands):
-        for j in np.flatnonzero(mask[i]):
-            split = rep._fitting_split(m, g.add(ident.scale(f.canon(-lambdas[j]))))
+    for g in cands:
+        for lam in lambdas:
+            shifted = g.add(ident.scale(f.canon(-lam)))
+            if all(exactla.rank_of(f, shifted.blocks[v]) == d for v, d in m.dims.items()):
+                continue
+            split = rep._fitting_split(m, shifted)
             if split is not None:
                 return split
     return None
@@ -279,7 +279,7 @@ def test_kernel_screen_matches_per_shift_loop(monkeypatch, stack_bytes, p):
             for j, lam in enumerate(lambdas):
                 shifted = g.add(ident.scale(f.canon(-lam)))
                 ker = sum(
-                    d - exactla.rank_of(f, rep._power(f, shifted.blocks[v], m.total_dim))
+                    d - exactla.rank_of(f, matrix_power(f, shifted.blocks[v], m.total_dim))
                     for v, d in m.dims.items()
                 )
                 assert kernels[i, j] == ker

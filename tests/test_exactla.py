@@ -22,6 +22,7 @@ from gpktheory.exactla import (
     rank_stack,
     rref,
     rref_stack_fp,
+    sampled_coeff_vectors,
     smith_normal_form,
     solve_matrix,
 )
@@ -322,9 +323,6 @@ def test_coeff_vectors_enumerate_every_vector_and_every_line(p):
     n = 0
     while p**n <= EXHAUSTIVE_CAP:
         every = list(all_coeff_vectors(p, n))
-        vecs, exhaustive = coeff_vectors(f, n, lines=False)
-        assert exhaustive and vecs.dtype == np.int64 and vecs.shape == (p**n, n)
-        assert vecs.tolist() == every
         # a line's representative is the first of its nonzero multiples
         position = {tuple(v): i for i, v in enumerate(every)}
         firsts = [
@@ -336,14 +334,12 @@ def test_coeff_vectors_enumerate_every_vector_and_every_line(p):
         assert lines.tolist() == firsts
         assert all(v[max(i for i, c in enumerate(v) if c)] == 1 for v in firsts)
         n += 1
-    for lines in (True, False):
-        vecs, exhaustive = coeff_vectors(f, n, lines=lines)
-        assert not exhaustive
-        assert len(list(vecs)) == n  # the unit vectors, no draws
+    vecs, exhaustive = coeff_vectors(f, n)
+    assert not exhaustive
+    assert len(list(vecs)) == n  # the unit vectors, no draws
 
 
 def test_coeff_vectors_at_n_zero():
-    assert coeff_vectors(GF5, 0, lines=False)[0].tolist() == [[]]
     assert coeff_vectors(GF5, 0)[0].tolist() == []
     assert coeff_vectors(GF5, 0)[1]
     vecs, exhaustive = coeff_vectors(QQ, 0, tries=10)
@@ -352,14 +348,11 @@ def test_coeff_vectors_at_n_zero():
 
 def test_coeff_vectors_over_qq_are_never_exhaustive():
     # except the one line of QQ^1, tested below
-    for n in range(5):
-        for lines in (True, False):
-            if lines and n == 1:
-                continue
-            vecs, exhaustive = coeff_vectors(QQ, n, lines=lines, seed=n, tries=4)
-            assert not exhaustive
-            vecs = list(vecs)
-            assert vecs[:n] == [[int(i == j) for j in range(n)] for i in range(n)]
+    for n in (0, 2, 3, 4):
+        vecs, exhaustive = coeff_vectors(QQ, n, seed=n, tries=4)
+        assert not exhaustive
+        vecs = list(vecs)
+        assert vecs[:n] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 0])
@@ -388,11 +381,11 @@ def test_sampled_branch_matches_the_old_generators(p, n):
     dropped = 0
     for seed in range(6):
         for tries in (0, 8, 128):
-            # every vector, not lines: F^1 is one line, listed exhaustively
-            vecs, exhaustive = coeff_vectors(f, n, lines=False, seed=seed, tries=tries)
-            assert not exhaustive
-            vecs = [list(v) for v in vecs]
+            vecs = [list(v) for v in sampled_coeff_vectors(f, n, seed, tries)]
             assert vecs == [list(v) for v in _old_sampled_vectors(f, n, seed, tries)]
+            if n > 1:  # F^1 is one line, which coeff_vectors lists exhaustively
+                got, exhaustive = coeff_vectors(f, n, seed=seed, tries=tries)
+                assert not exhaustive and [list(v) for v in got] == vecs
             dropped += n + tries - len(vecs)
     if (p, n) == (0, 1):
         assert dropped  # zero draws occur and are dropped

@@ -24,6 +24,7 @@ from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
 from gpktheory.rep import (
+    Morphism,
     Representation,
     cokernel,
     direct_sum,
@@ -187,7 +188,9 @@ def test_pushout_along_isomorphism():
         and data.objects[c.dst].proj_mults == (1,)
     ][0]
     x = data.objects[soc.src].rep
-    p, from_y, _, _ = pushout(soc.mono, identity_morphism(x))
+    q = pushout(soc.mono, identity_morphism(x))
+    p, y = q.codomain, soc.mono.codomain
+    from_y = Morphism(y, p, {v: b[:, : y.dims[v]] for v, b in q.blocks.items()})
     assert p.dim_vector == regular(a).dim_vector
     assert from_y.is_iso()
     ok, _ = is_isomorphic(p, regular(a))
