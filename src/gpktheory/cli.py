@@ -251,9 +251,10 @@ def serialize(af: AlgebraFile) -> str:
     for r in af.relations:
         bits = []
         for c, p in r.terms:
+            # the sign, then the absolute coefficient: the parser rejects "+ -1*x"
             word = "*".join(reversed(p.arrows))
-            bits.append(word if c == 1 else f"{c}*{word}")
-        lines.append("relation " + " + ".join(bits) + " = 0")
+            bits.append(("- " if c < 0 else "+ ") + (word if abs(c) == 1 else f"{abs(c)}*{word}"))
+        lines.append("relation " + " ".join(bits).removeprefix("+ ") + " = 0")
     for k in sorted(af.options):
         lines.append(f"option {k} {af.options[k]}")
     return "\n".join(lines) + "\n"

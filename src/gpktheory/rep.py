@@ -883,47 +883,68 @@ def cyclic_module(a: FiniteDimAlgebra, x):
 # isomorphy and decomposition
 
 
-def is_isomorphic(m: Representation, n: Representation, tries: int = 128):
-    """(answer, witness): searches for an invertible module map.
+def is_isomorphic(m: Representation, n: Representation):
+    """(answer, witness): a certified decision, the witness a map m -> n.
 
-    Positive answers are certified by the witness.  A negative answer is
-    certified when the dimension vectors differ or the candidate search was
-    exhaustive; a negative from a sampled search is not certified.  The
-    search is memoized per algebra on both modules' bytes and the tries;
-    the witness is always returned as a map from this m to this n.
+    An invertible basis map of Hom(m, n) is a witness.  Without one an
+    indecomposable m is not isomorphic to n: End(m) is local, so the maps
+    m -> n that are not invertible form a proper subspace of Hom(m, n).
+    A decomposable m is decided by Krull-Schmidt (`match_summands`), and
+    for equal summand multisets a miss of `_find_isomorphism` is a
+    CertificateError.  Over QQ, where `decompose` seldom certifies, that
+    search runs first, and a negative may raise FieldUnsupported.
+    Memoized per algebra on both modules' bytes.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
     if m.is_zero:
         return True, zero_morphism(m, n)
 
-    def search():
-        ok, witness = _find_isomorphism(m, n, tries)
-        return ok, (witness.blocks if ok else None)
+    def decide():
+        witness = next((b for b in hom_basis(m, n).basis if b.is_iso()), None)
+        if witness is None and not m.field.char:
+            witness = _find_isomorphism(m, n)
+        if witness is None and len(_decompose_rec(m)) > 1 and (
+                match_summands(decompose(m), decompose(n)) is not None):
+            witness = _find_isomorphism(m, n)
+            if witness is None:
+                raise CertificateError("equal summands but no isomorphism was found")
+        return None if witness is None else witness.blocks
 
-    ok, blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key(), tries), search)
-    return ok, (Morphism(m, n, dict(blocks)) if ok else None)
+    blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key()), decide)
+    return (False, None) if blocks is None else (True, Morphism(m, n, dict(blocks)))
 
 
-def _find_isomorphism(m: Representation, n: Representation, tries: int):
-    """The uncached search of `is_isomorphic` for nonzero m, n of one dim vector."""
+def _find_isomorphism(m: Representation, n: Representation):
+    """An invertible map m -> n or None, searched over one vector per line
+    of Hom(m, n) when that is exhaustive, else the basis and 128 draws."""
     hs = hom_basis(m, n)
-    if hs.dim == 0:
-        return False, None
-    # exhaustive: isomorphy survives nonzero scalars, so one vector per line
-    # suffices.  Sampled: isomorphisms, when they exist, fill a GL-sized
-    # fraction of the hom space, so a seeded random sweep is likely to find
-    # one, but a sampled negative is not certified
-    coeffs, _ = coeff_vectors(m.field, hs.dim, tries=tries)
-    for c in coeffs:
-        cand = hs.element(c)
-        if cand.is_iso():
-            return True, cand
-    return False, None
+    coeffs, _ = coeff_vectors(m.field, hs.dim, tries=128)
+    return next((g for g in map(hs.element, coeffs) if g.is_iso()), None)
+
+
+def match_summands(left, right):
+    """[(x, y, multiplicity, witness x -> y)] pairing two summand multisets
+    as `decompose` returns them, or None when they differ (Krull-Schmidt)."""
+    if len(left) != len(right):
+        return None
+    pairing = []
+    used = [False] * len(right)
+    for part, mult in left:
+        for j, (other, omult) in enumerate(right):
+            if used[j] or mult != omult:
+                continue
+            ok, wit = is_isomorphic(part, other)
+            if ok:
+                used[j] = True
+                pairing.append((part, other, mult, wit))
+                break
+        else:
+            return None
+    return pairing
 
 
 def _invariant_battery(m: Representation):
-    a = m.algebra
     tops = tuple(sorted(top_dims(m).items()))
     rads = tuple(rr.shape[0] for rr in radical_rows(m).values())
     endo = hom_dim(m, m)
@@ -977,7 +998,7 @@ def decompose(m: Representation):
     """
     if m.is_zero:
         return []
-    pieces = _decompose_rec(m, 0)
+    pieces = _decompose_rec(m)
     # group by isomorphy
     classes = []
     for piece in pieces:
@@ -992,17 +1013,15 @@ def decompose(m: Representation):
     return [(rep_, mult) for rep_, mult in classes]
 
 
-def _decompose_rec(m: Representation, seed: int):
+def _decompose_rec(m: Representation):
     """Indecomposable pieces of m, in split order, memoized per algebra on
-    the module's bytes and the seed, which grows by one per split depth.
-    Returns a fresh list on every call."""
+    the module's bytes.  Returns a fresh list on every call."""
     if m.is_zero:
         return []
-    return list(m.algebra.memo("decompose", (m.key(), seed),
-                               lambda: tuple(_split_pieces(m, seed))))
+    return list(m.algebra.memo("decompose", m.key(), lambda: tuple(_split_pieces(m))))
 
 
-def _split_pieces(m: Representation, seed: int):
+def _split_pieces(m: Representation):
     """The uncached split of `_decompose_rec` for nonzero m."""
     if m.total_dim == 1:
         return [m]
@@ -1010,7 +1029,7 @@ def _split_pieces(m: Representation, seed: int):
     ends = hom_basis(m, m)
     if ends.dim == 1:
         return [m]
-    cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, seed, 8)]
+    cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, 0, 8)]
     lambdas = list(f.elements()) if f.char else [0, 1, -1, 2, -2]
     split = _first_fitting_split(m, cands, lambdas)
     if split is None and not f.char:
@@ -1037,14 +1056,14 @@ def _split_pieces(m: Representation, seed: int):
             # noncommutative S: m is decomposable.  An exhaustive search lists
             # every line of End(m), and the line of a nontrivial idempotent
             # splits at lam = 0, so only a sampled search can miss
-            coeffs, exhaustive = coeff_vectors(f, ends.dim, seed=seed + 1000, tries=512)
+            coeffs, exhaustive = coeff_vectors(f, ends.dim, seed=1000, tries=512)
             split = _first_fitting_split(m, [ends.element(c) for c in coeffs], lambdas)
             if split is None:
                 raise (CertificateError if exhaustive else RuntimeError)(
                     "module is provably decomposable but no splitting was found"
                 )
     a, b = split
-    return _decompose_rec(a, seed + 1) + _decompose_rec(b, seed + 1)
+    return _decompose_rec(a) + _decompose_rec(b)
 
 
 # bytes a temporary of the stacked searches below may take

@@ -25,6 +25,7 @@ from .rep import (
     identity_morphism,
     is_isomorphic,
     is_projective,
+    match_summands,
     projective_cover,
     zero_morphism,
 )
@@ -152,30 +153,6 @@ def _strip_projectives(m: Representation):
     return [(part, mult) for part, mult in decompose(m) if not is_projective(part)]
 
 
-def _strip_compare(m: Representation, n: Representation):
-    """Stripping route: do m and n have equal non-projective summand multisets?"""
-    left = _strip_projectives(m)
-    right = _strip_projectives(n)
-    if len(left) != len(right):
-        return False, None
-    pairing = []
-    used = [False] * len(right)
-    for part, mult in left:
-        found = False
-        for j, (other, omult) in enumerate(right):
-            if used[j] or mult != omult:
-                continue
-            ok, wit = is_isomorphic(part, other)
-            if ok:
-                used[j] = True
-                pairing.append((part, other, mult, wit))
-                found = True
-                break
-        if not found:
-            return False, None
-    return True, pairing
-
-
 def _solve_stable_inverse(f_mor: Morphism, end_m: StableHomSpace, end_n: StableHomSpace, back: StableHomSpace):
     """Solve linearly for g: n -> m with g.f = id_m and f.g = id_n stably."""
     m, n = f_mor.domain, f_mor.codomain
@@ -290,7 +267,8 @@ def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
     _require_gp(m)
     _require_gp(n)
     found, exhaustive = _witness_search(m, n, seed)
-    stripped_equal, pairing = _strip_compare(m, n)
+    pairing = match_summands(_strip_projectives(m), _strip_projectives(n))
+    stripped_equal = pairing is not None
     if found is not None:
         if not stripped_equal:
             raise RuntimeError(

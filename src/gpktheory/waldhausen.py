@@ -45,6 +45,7 @@ from .ktheory import CatalogUnknown
 from .rep import (
     Morphism,
     Representation,
+    _find_isomorphism,
     _invariant_battery,
     block_diag,
     cokernel,
@@ -118,12 +119,11 @@ def _weak_class(data: FiniteWaldhausenData, rep: Representation):
     if key in data.class_cache:
         return data.class_cache[key]
     # cheap path: a previously classified module with the same invariant
-    # battery and a certified isomorphism shares the class; a failed
-    # isomorphism search just falls through to the full decomposition
+    # battery and an isomorphism found by the witness search shares the
+    # class; a miss certifies nothing and falls through to the decomposition
     bat = _invariant_battery(rep)
     for known, cls in data.battery_cache.get(bat, ()):
-        ok, _ = is_isomorphic(rep, known, tries=8)
-        if ok:
+        if _find_isomorphism(rep, known) is not None:
             data.class_cache[key] = cls
             return cls
     cls = _classify_by_decomposition(data, rep)

@@ -121,6 +121,28 @@ def test_serialize_round_trips_the_corpus():
         assert af1.options == af2.options
 
 
+@pytest.mark.parametrize("fld", ["QQ", "GF(5)"])
+def test_serialize_round_trips_negative_coefficients(fld):
+    """A commutative square and a relation that opens with a negative term:
+    serialize writes the sign, then the absolute coefficient."""
+    text = (
+        f"algebra square over {fld}\n"
+        "vertices 1 2 3 4\n"
+        "arrow a : 1 -> 2\n"
+        "arrow b : 2 -> 4\n"
+        "arrow c : 1 -> 3\n"
+        "arrow d : 3 -> 4\n"
+        "relation b*a - d*c = 0\n"
+    )
+    once = serialize(parse(text))
+    want = "b*a - d*c" if fld == "QQ" else "b*a + 4*d*c"
+    assert once.endswith(f"relation {want} = 0\n")
+    assert serialize(parse(once)) == once
+    assert [r.terms for r in parse(once).relations] == [r.terms for r in parse(text).relations]
+    lead = parse(text.replace("b*a - d*c", "-2*d*c + b*a"))
+    assert [r.terms for r in parse(serialize(lead)).relations] == [r.terms for r in lead.relations]
+
+
 def test_serialize_canonical_form():
     assert serialize(parse(GF3_61B)) == (
         "algebra example61B over GF(3)\n"

@@ -160,10 +160,17 @@ def _keys(pieces):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_decompose_rec_matches_reference(name, p):
+    """The reference draws from a seed that grows per split depth and
+    `_decompose_rec` from one fixed seed, so their pieces agree up to
+    isomorphism, one to one."""
     a = ALGEBRAS[name](FieldSpec(p))
     rng = Random(f"{name}/{p}")
     for seed, m in enumerate(seeded_sums(a, rng)):
-        assert _keys(rep._decompose_rec(m, seed)) == _keys(_ref_decompose_rec(m, seed))
+        unmatched = _ref_decompose_rec(m, seed)
+        for piece in rep._decompose_rec(m):
+            j = next(j for j, ref in enumerate(unmatched) if is_isomorphic(piece, ref)[0])
+            unmatched.pop(j)
+        assert not unmatched
 
 
 def _cands(m, seed=0):

@@ -258,13 +258,13 @@ def test_is_isomorphic_line_search_matches_full_enumeration(monkeypatch):
         ok, wit = is_isomorphic(m, n)
         with monkeypatch.context() as mp:
             mp.setattr(rep, "coeff_vectors", every_coeff_vector)
-            # the uncached search: is_isomorphic would answer from its memo
-            ref_ok, ref_wit = rep._find_isomorphism(m, n, 128)
-        assert ok == ref_ok
+            # the search over every nonzero map m -> n
+            ref = rep._find_isomorphism(m, n)
+        assert ok == (ref is not None)
         if ok:
-            assert all((wit.blocks[v] == ref_wit.blocks[v]).all() for v in wit.blocks)
+            assert wit.verify().is_iso() and ref.verify().is_iso()
         else:
-            assert wit is None and ref_wit is None
+            assert wit is None
     assert sum(is_isomorphic(m, n)[0] for m, n in pairs) == len(pairs) - 2
 
 
@@ -295,14 +295,97 @@ def test_sampled_isomorphism_search_matches_the_old_loop(p):
     answers = []
     for x, y in pairs:
         assert p == 0 or p ** hom_dim(x, y) > 4096  # the sampled branch
-        for tries in (128, 8, 0):
-            ok, wit = rep._find_isomorphism(x, y, tries)
-            ref_ok, ref_wit = _old_sampled_iso_search(x, y, 0, tries)
-            assert ok == ref_ok
-            if ok:
-                assert all((wit.blocks[v] == ref_wit.blocks[v]).all() for v in wit.blocks)
-            answers.append(ok)
-    assert answers == [True, True, False, False, False, False]
+        wit = rep._find_isomorphism(x, y)
+        ref_ok, _ = _old_sampled_iso_search(x, y, 0, 128)
+        assert (wit is not None) == ref_ok
+        if ref_ok:
+            assert wit.verify().is_iso()
+        answers.append(ref_ok)
+        if p or ref_ok:
+            assert is_isomorphic(x, y)[0] == ref_ok
+        else:
+            # over QQ a negative needs a decomposition, which cannot be certified
+            with pytest.raises(FieldUnsupported):
+                is_isomorphic(x, y)
+    assert answers == [True, False]
+
+
+def _iso_pairs(p):
+    """Indecomposables and sums of 61A and 61B over GF(p), each against a
+    twisted copy and against a module of its dimension vector that is not
+    isomorphic to it."""
+    rng = Random(f"iso/{p}")
+    a, b = alg61a(FieldSpec(p)), alg61b(FieldSpec(p))
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
+    p1 = projective(a, "1")
+    gb = Representation(b, {"1": 1, "2": 2}, {"x": [[0], [1]], "z": [[0, 0], [1, 0]]})
+    pairs = []
+    for m, other in [
+        (g, split),
+        (p1, direct_sum([g, g])[0]),
+        (gb, Representation(b, {"1": 1, "2": 2}, {"x": [[0], [1]]})),
+        (direct_sum([p1, g])[0], direct_sum([p1, split])[0]),
+        (direct_sum([g, g, split])[0], direct_sum([g, split, split])[0]),
+    ]:
+        pairs += [(m, twisted(m, rng)), (m, other), (other, m)]
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_isomorphic_answers_do_not_depend_on_the_exhaustive_cap(monkeypatch, p):
+    """With EXHAUSTIVE_CAP = 1 every search is sampled; a negative comes from
+    the hom basis or from Krull-Schmidt, never from a search miss, so the
+    answers are those at the normal cap.  Fresh algebras keep the memos apart."""
+    want = [is_isomorphic(m, n)[0] for m, n in _iso_pairs(p)]
+    assert want == [True, False, False] * 5
+    monkeypatch.setattr(exactla, "EXHAUSTIVE_CAP", 1)
+    got = []
+    for m, n in _iso_pairs(p):
+        ok, wit = is_isomorphic(m, n)
+        assert not ok or wit.verify().is_iso()
+        got.append(ok)
+    assert got == want
+
+
+def test_a_search_miss_on_matched_summands_is_a_certificate_error(monkeypatch):
+    """With the witness search stubbed to miss, a decomposable pair whose
+    summands match and no hom basis map is invertible raises, where the
+    sampled search used to answer no; indecomposables keep their answers."""
+    monkeypatch.setattr(rep, "_find_isomorphism", lambda m, n: None)
+    a = alg61a(GF3)
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    p1 = projective(a, "1")
+    split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
+    m = direct_sum([p1, g])[0]
+    for n in (twisted(m, Random(1)), direct_sum([g, p1])[0]):
+        assert not any(b.is_iso() for b in hom_basis(m, n).basis)
+        with pytest.raises(CertificateError):
+            is_isomorphic(m, n)
+    assert not is_isomorphic(m, direct_sum([p1, split])[0])[0]  # summands differ
+    rng = Random(2)
+    pairs = [(g, twisted(g, rng)), (p1, twisted(p1, rng)), (g, split), (p1, direct_sum([g, g])[0])]
+    assert [is_isomorphic(x, y)[0] for x, y in pairs] == [True, True, False, False]
+
+
+def test_is_isomorphic_at_a_large_prime_uses_only_the_hom_basis(monkeypatch):
+    """At p = 65521 an indecomposable with a 2-dimensional End ring is
+    compared by its hom basis, with no coefficient search; the answers
+    agree with the summand multisets of `decompose`."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("coeff_vectors called")
+
+    monkeypatch.setattr(rep, "coeff_vectors", no_search)
+    b = alg61b(FieldSpec(65521))
+    g = Representation(b, {"1": 1, "2": 2}, {"x": [[0], [1]], "z": [[0, 0], [1, 0]]})
+    copy = twisted(g, Random(3))
+    other = Representation(b, {"1": 1, "2": 2}, {"x": [[0], [1]]})
+    assert hom_dim(g, g) == hom_dim(g, copy) == hom_dim(g, other) == 2
+    assert [(x.dim_vector, k) for x, k in decompose(copy)] == [((1, 2), 1)]
+    assert [(x.dim_vector, k) for x, k in decompose(other)] == [((0, 1), 1), ((1, 1), 1)]
+    ok, wit = is_isomorphic(g, copy)
+    assert ok and wit.verify().is_iso()
+    assert is_isomorphic(g, other) == (False, None)
 
 
 def test_semisimple_everything_projective():
