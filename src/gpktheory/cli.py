@@ -248,13 +248,7 @@ def serialize(af: AlgebraFile) -> str:
     lines.append("vertices " + " ".join(af.quiver.vertices))
     for a in af.quiver.arrows:
         lines.append(f"arrow {a.label} : {a.source} -> {a.target}")
-    for r in af.relations:
-        bits = []
-        for c, p in r.terms:
-            # the sign, then the absolute coefficient: the parser rejects "+ -1*x"
-            word = "*".join(reversed(p.arrows))
-            bits.append(("- " if c < 0 else "+ ") + (word if abs(c) == 1 else f"{abs(c)}*{word}"))
-        lines.append("relation " + " ".join(bits).removeprefix("+ ") + " = 0")
+    lines.extend(f"relation {r}" for r in af.relations)
     for k in sorted(af.options):
         lines.append(f"option {k} {af.options[k]}")
     return "\n".join(lines) + "\n"

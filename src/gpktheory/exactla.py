@@ -636,10 +636,13 @@ def group_from_presentation(generators, relations) -> AbelianGroupDescription:
     """Abelian group on the given generators modulo integer relation rows."""
     generators = tuple(str(g) for g in generators)
     n = len(generators)
-    rows = [list(r) for r in relations]
+    rows = [tuple(r) for r in relations]
     for r in rows:
         if len(r) != n:
             raise ValueError("relation length does not match generator count")
+    # a zero row or a repeat spans nothing new, yet the Smith form builds and
+    # certifies an nr x nr transform: keep the first copy of each nonzero row
+    rows = [list(r) for r in dict.fromkeys(rows) if any(r)]
     if not rows or n == 0:
         return AbelianGroupDescription(n, (), generators)
     _, s, _ = smith_normal_form(MatZ.make(rows))

@@ -179,9 +179,10 @@ def is_gp(m: Representation, report: DimensionReport = None, bound: int = DEFAUL
     return GPVerdict("Inconclusive", "bound-exhausted", {"bound": bound})
 
 
-def certify_gp(m: Representation, bound: int = DEFAULT_BOUND) -> GPVerdict:
-    """Cached Gorenstein-projectivity verdict (keyed by the module's data)."""
-    return m.algebra.memo("gp_certificates", m.key(), lambda: is_gp(m, bound=bound))
+def certify_gp(m: Representation) -> GPVerdict:
+    """Cached Gorenstein-projectivity verdict at the default bound (keyed by
+    the module's data); is_gp takes other bounds, uncached."""
+    return m.algebra.memo("gp_certificates", m.key(), lambda: is_gp(m))
 
 
 def co_syzygy(m: Representation) -> Representation:

@@ -18,14 +18,17 @@ checks that every arrow is a basis element, every basis path is the product
 of its arrows, and every relation of the presentation vanishes in the table.
 
 On top of that sit the balanced tensor product (a cokernel of the relation
-rows m*a (x) x - m (x) a*x), the two duals Hom into either regular module,
-and the certification entry points: Frobenius bimodules, stable equivalence
+rows m*a (x) x - m (x) a*x), the two duals Hom into either regular module
+(the right-hand one, like the right module, is the left-hand one of the
+transpose: the same bimodule read over the opposite pair), and the
+certification entry points: Frobenius bimodules, stable equivalence
 of Morita type with explicit projective complements, unit/counit defect
 projectivity, and a side-by-side invariant comparison for two algebras.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,7 @@ from .rep import (
     is_isomorphic,
     is_projective,
     projective,
+    quotient_by_rows,
     zero_rep,
 )
 
@@ -78,7 +82,13 @@ def _rname(u: str, label: str) -> str:
     return f"{u}~{label}"
 
 
-_POINT_CACHE = {}
+def _lift(p: Path, w: str, left: bool) -> Path:
+    """A path of one factor lifted to vertex w of the other: with left set, a
+    path of the left factor acting at right-factor vertex w; otherwise a path
+    of the right factor acting at left-factor vertex w."""
+    if left:
+        return Path(_tv(p.source, w), _tv(p.target, w), tuple(_lname(x, w) for x in p.arrows))
+    return Path(_tv(w, p.source), _tv(w, p.target), tuple(_rname(w, x) for x in p.arrows))
 
 
 def _tensor_presentation(b: FiniteDimAlgebra, op: FiniteDimAlgebra):
@@ -86,86 +96,27 @@ def _tensor_presentation(b: FiniteDimAlgebra, op: FiniteDimAlgebra):
     copies of b's arrows and the right-action copies of op's arrows, both
     factors' relations (one copy per vertex of the other factor) and a
     commutation square for every arrow pair."""
-    verts = [_tv(u, v) for u in b.quiver.vertices for v in op.quiver.vertices]
-    arrows = []
-    for beta in b.quiver.arrows:
-        for v in op.quiver.vertices:
-            arrows.append(
-                (_lname(beta.label, v), _tv(beta.source, v), _tv(beta.target, v))
-            )
-    for u in b.quiver.vertices:
-        for al in op.quiver.arrows:
-            arrows.append((_rname(u, al.label), _tv(u, al.source), _tv(u, al.target)))
-    qt = Quiver.make(verts, arrows)
-    rels = []
-    for r in b.relations:
-        for v in op.quiver.vertices:
-            rels.append(
-                RelationElem(
-                    tuple(
-                        (
-                            c,
-                            Path(
-                                _tv(p.source, v),
-                                _tv(p.target, v),
-                                tuple(_lname(lab, v) for lab in p.arrows),
-                            ),
-                        )
-                        for c, p in r.terms
-                    )
-                )
-            )
-    for r in op.relations:
-        for u in b.quiver.vertices:
-            rels.append(
-                RelationElem(
-                    tuple(
-                        (
-                            c,
-                            Path(
-                                _tv(u, p.source),
-                                _tv(u, p.target),
-                                tuple(_rname(u, lab) for lab in p.arrows),
-                            ),
-                        )
-                        for c, p in r.terms
-                    )
-                )
-            )
-    one = b.field.canon(1)
-    minus = b.field.canon(-1)
+    bvs, ovs = b.quiver.vertices, op.quiver.vertices
+    verts = [_tv(u, v) for u in bvs for v in ovs]
+    lifts = [_lift(Path(x.source, x.target, (x.label,)), v, True)
+             for x in b.quiver.arrows for v in ovs]
+    lifts += [_lift(Path(x.source, x.target, (x.label,)), u, False)
+              for u in bvs for x in op.quiver.arrows]
+    qt = Quiver.make(verts, [(p.arrows[0], p.source, p.target) for p in lifts])
+    rels = [RelationElem(tuple((c, _lift(p, v, True)) for c, p in r.terms))
+            for r in b.relations for v in ovs]
+    rels += [RelationElem(tuple((c, _lift(p, u, False)) for c, p in r.terms))
+             for r in op.relations for u in bvs]
+    one, minus = b.field.canon(1), b.field.canon(-1)
     for beta in b.quiver.arrows:
         for al in op.quiver.arrows:
             src = _tv(beta.source, al.source)
             tgt = _tv(beta.target, al.target)
-            rels.append(
-                RelationElem(
-                    (
-                        (
-                            one,
-                            Path(
-                                src,
-                                tgt,
-                                (
-                                    _rname(beta.source, al.label),
-                                    _lname(beta.label, al.target),
-                                ),
-                            ),
-                        ),
-                        (
-                            minus,
-                            Path(
-                                src,
-                                tgt,
-                                (
-                                    _lname(beta.label, al.source),
-                                    _rname(beta.target, al.label),
-                                ),
-                            ),
-                        ),
-                    )
-                )
-            )
+            right_first = (_rname(beta.source, al.label), _lname(beta.label, al.target))
+            left_first = (_lname(beta.label, al.source), _rname(beta.target, al.label))
+            rels.append(RelationElem(
+                ((one, Path(src, tgt, right_first)), (minus, Path(src, tgt, left_first)))
+            ))
     return qt, rels
 
 
@@ -288,11 +239,10 @@ def _tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebr
     return t
 
 
+@functools.cache
 def point_algebra(field) -> FiniteDimAlgebra:
     """The one-vertex arrowless algebra; its modules are plain vector spaces."""
-    if field.char not in _POINT_CACHE:
-        _POINT_CACHE[field.char] = build_algebra(Quiver.make(("pt",), ()), [], field)
-    return _POINT_CACHE[field.char]
+    return build_algebra(Quiver.make(("pt",), ()), [], field)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +327,7 @@ def module_from_bimodule(m: Bimodule) -> Representation:
     """Forget the trivial point action of a (b, point)-bimodule."""
     if m.right.quiver.vertices != ("pt",):
         raise AlgebraMismatch("the right algebra is not the point algebra")
-    b = m.left
-    dims = {u: m.rep.dims[_tv(u, "pt")] for u in b.quiver.vertices}
-    maps = {a.label: m.rep.maps[_lname(a.label, "pt")] for a in b.quiver.arrows}
-    return Representation(b, dims, maps, check=True)
+    return _column_module(m, "pt")
 
 
 def left_module_of(m: Bimodule) -> Representation:
@@ -399,17 +346,33 @@ def left_module_of(m: Bimodule) -> Representation:
 
 def right_module_of(m: Bimodule) -> Representation:
     """Forget the left action; a module over the opposite of the right algebra."""
+    return left_module_of(transpose(m))
+
+
+def transpose(m: Bimodule) -> Bimodule:
+    """The (b, a)-bimodule m as an (a^op, b^op)-bimodule.
+
+    The same spaces and matrices under new names: the component at (u, v)
+    becomes the one at (v, u), the left action of an arrow of b at v becomes
+    its right action at v, and the right action of an arrow of a^op at u
+    becomes its left action at u.  Transposing twice gives m back, since
+    opposite(opposite(x)) is x.
+    """
     b, a = m.left, m.right
-    op = opposite(a)
-    bvs = b.quiver.vertices
-    dims = {
-        v: sum(m.rep.dims[_tv(u, v)] for u in bvs) for v in a.quiver.vertices
-    }
+    left, right = opposite(a), opposite(b)
+    dims = {_tv(v, u): d for (u, v), d in m.component_dims().items()}
     maps = {
-        al.label: block_diag(a.field, [m.rep.maps[_rname(u, al.label)] for u in bvs])
-        for al in op.quiver.arrows
+        _rname(v, beta.label): m.rep.maps[_lname(beta.label, v)]
+        for beta in b.quiver.arrows
+        for v in a.quiver.vertices
     }
-    return Representation(op, dims, maps, check=True)
+    maps.update(
+        (_lname(al.label, u), m.rep.maps[_rname(u, al.label)])
+        for al in left.quiver.arrows
+        for u in b.quiver.vertices
+    )
+    rep = Representation(tensor_algebra(left, right), dims, maps, check=True)
+    return Bimodule(left, right, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -444,41 +407,31 @@ def tensor_bimodules(m: Bimodule, n: Bimodule) -> Bimodule:
     def dn(v, ch):
         return n.rep.dims[_tv(v, ch)]
 
-    off = {}
-    ydims = {}
-    for u in b.quiver.vertices:
-        for ch in c.quiver.vertices:
-            o = {}
-            tot = 0
-            for v in avs:
-                o[v] = tot
-                tot += dm(u, v) * dn(v, ch)
-            off[(u, ch)] = o
-            ydims[_tv(u, ch)] = tot
-    ymaps = {}
-    for beta in b.quiver.arrows:
-        for ch in c.quiver.vertices:
-            mat = f.zeros((ydims[_tv(beta.target, ch)], ydims[_tv(beta.source, ch)]))
-            for v in avs:
-                blk = _kron(f, m.rep.maps[_lname(beta.label, v)], f.eye(dn(v, ch)))
-                r0 = off[(beta.target, ch)][v]
-                c0 = off[(beta.source, ch)][v]
-                mat[r0 : r0 + blk.shape[0], c0 : c0 + blk.shape[1]] = blk
-            ymaps[_lname(beta.label, ch)] = mat
-    cop = opposite(c)
-    for u in b.quiver.vertices:
-        for ga in cop.quiver.arrows:
-            mat = f.zeros((ydims[_tv(u, ga.target)], ydims[_tv(u, ga.source)]))
-            for v in avs:
-                blk = _kron(f, f.eye(dm(u, v)), n.rep.maps[_rname(v, ga.label)])
-                r0 = off[(u, ga.target)][v]
-                c0 = off[(u, ga.source)][v]
-                mat[r0 : r0 + blk.shape[0], c0 : c0 + blk.shape[1]] = blk
-            ymaps[_rname(u, ga.label)] = mat
+    # Y(u, ch) is the sum over inner vertices v, in quiver order, of
+    # M(u, v) (x) N(v, ch); each action map acts summand by summand
+    ydims = {
+        _tv(u, ch): sum(dm(u, v) * dn(v, ch) for v in avs)
+        for u in b.quiver.vertices
+        for ch in c.quiver.vertices
+    }
+    ymaps = {
+        _lname(beta.label, ch): block_diag(f, [
+            _kron(f, m.rep.maps[_lname(beta.label, v)], f.eye(dn(v, ch))) for v in avs
+        ])
+        for beta in b.quiver.arrows
+        for ch in c.quiver.vertices
+    }
+    ymaps.update(
+        (_rname(u, ga.label), block_diag(f, [
+            _kron(f, f.eye(dm(u, v)), n.rep.maps[_rname(v, ga.label)]) for v in avs
+        ]))
+        for u in b.quiver.vertices
+        for ga in c.quiver.arrows
+    )
     y = Representation(t, ydims, ymaps, check=True)
 
-    from .rep import quotient_by_rows
-
+    # one relation column block m*a (x) x - m (x) a*x per inner arrow a: w -> v,
+    # nonzero only in the summands at w and at v
     rows = {}
     for u in b.quiver.vertices:
         for ch in c.quiver.vertices:
@@ -488,16 +441,11 @@ def tensor_bimodules(m: Bimodule, n: Bimodule) -> Bimodule:
                 s = dm(u, v) * dn(w, ch)
                 if s == 0:
                     continue
-                rmat = f.zeros((ydims[_tv(u, ch)], s))
-                blk = _kron(f, m.rep.maps[_rname(u, al.label)], f.eye(dn(w, ch)))
-                r0 = off[(u, ch)][w]
-                rmat[r0 : r0 + blk.shape[0], :] = blk
+                blocks = {x: f.zeros((dm(u, x) * dn(x, ch), s)) for x in avs}
+                blocks[w] = _kron(f, m.rep.maps[_rname(u, al.label)], f.eye(dn(w, ch)))
                 blk = _kron(f, f.eye(dm(u, v)), n.rep.maps[_lname(al.label, ch)])
-                r0 = off[(u, ch)][v]
-                rmat[r0 : r0 + blk.shape[0], :] = f.add(
-                    rmat[r0 : r0 + blk.shape[0], :], f.scale(f.canon(-1), blk)
-                )
-                pieces.append(rmat.T)
+                blocks[v] = f.add(blocks[v], f.scale(f.canon(-1), blk))
+                pieces.append(np.vstack(list(blocks.values())).T)
             if pieces:
                 rows[_tv(u, ch)] = np.vstack(pieces)
     q, _ = quotient_by_rows(y, rows)
@@ -522,14 +470,6 @@ def _column_module(m: Bimodule, v: str) -> Representation:
     dims = {u: m.rep.dims[_tv(u, v)] for u in b.quiver.vertices}
     maps = {a.label: m.rep.maps[_lname(a.label, v)] for a in b.quiver.arrows}
     return Representation(b, dims, maps, check=True)
-
-
-def _row_module(m: Bimodule, u: str) -> Representation:
-    """The right-algebra module on the left-vertex-u slice, over the opposite."""
-    op = opposite(m.right)
-    dims = {v: m.rep.dims[_tv(u, v)] for v in m.right.quiver.vertices}
-    maps = {al.label: m.rep.maps[_rname(u, al.label)] for al in op.quiver.arrows}
-    return Representation(op, dims, maps, check=True)
 
 
 def left_dual(m: Bimodule) -> Bimodule:
@@ -578,44 +518,10 @@ def left_dual(m: Bimodule) -> Bimodule:
 def right_dual(m: Bimodule) -> Bimodule:
     """Right-linear maps of the bimodule into the right regular module.
 
-    The component at (v, u) is Hom over the opposite of the right algebra
-    from the u-row of m to the opposite projective at v; the result is a
-    bimodule over (right algebra, left algebra), comparable with left_dual.
+    The left dual of the transpose, transposed back: a bimodule over
+    (right algebra, left algebra), comparable with left_dual.
     """
-    b, a = m.left, m.right
-    t = tensor_algebra(a, b)
-    op = opposite(a)
-    rows = {u: _row_module(m, u) for u in b.quiver.vertices}
-    projs = {v: projective(op, v) for v in a.quiver.vertices}
-    homs = {
-        _tv(v, u): hom_basis(rows[u], projs[v])
-        for v in a.quiver.vertices
-        for u in b.quiver.vertices
-    }
-    actions = {}
-    for al in a.quiver.arrows:
-        w, v = al.source, al.target
-        for u in b.quiver.vertices:
-            rho = _right_mult_on_projectives(projs[w], projs[v], al.label)
-            actions[_lname(al.label, u)] = (
-                _tv(w, u),
-                _tv(v, u),
-                lambda g, r=rho: r.compose(g),
-            )
-    for v in a.quiver.vertices:
-        for be in b.quiver.arrows:
-            u0, u1 = be.source, be.target
-            left_act = Morphism(
-                rows[u0],
-                rows[u1],
-                {v2: m.rep.maps[_lname(be.label, v2)] for v2 in a.quiver.vertices},
-            )
-            actions[_rname(v, be.label)] = (
-                _tv(v, u1),
-                _tv(v, u0),
-                lambda g, la=left_act: g.compose(la),
-            )
-    return Bimodule(a, b, hom_family_rep(t, homs, actions))
+    return transpose(left_dual(transpose(m)))
 
 
 @dataclass
@@ -696,51 +602,26 @@ def check_semt(m: Bimodule, n: Bimodule) -> SemtReport:
     """
     if m.left is not n.right or m.right is not n.left:
         raise AlgebraMismatch("the bimodules are not over opposite pairs")
-    a, b = m.right, m.left
     nm = tensor_bimodules(n, m)
     mn = tensor_bimodules(m, n)
-    parts_a = _strip_regular(nm)
-    if parts_a is None:
-        return SemtReport(
-            False,
-            None,
-            None,
-            nm,
-            mn,
-            "the product n (x) m has no regular-bimodule summand "
-            f"(components {sorted(nm.component_dims().items())})",
-        )
-    parts_b = _strip_regular(mn)
-    if parts_b is None:
-        return SemtReport(
-            False,
-            None,
-            None,
-            nm,
-            mn,
-            "the product m (x) n has no regular-bimodule summand "
-            f"(components {sorted(mn.component_dims().items())})",
-        )
-    for parts, label in ((parts_a, "n (x) m"), (parts_b, "m (x) n")):
-        for part in parts:
-            if not is_projective(part):
-                return SemtReport(
-                    False,
-                    None,
-                    None,
-                    nm,
-                    mn,
-                    f"complement summand of {label} with dims "
-                    f"{part.dim_vector} is not projective",
-                )
-    return SemtReport(
-        True,
-        _complement_bimodule(a, parts_a),
-        _complement_bimodule(b, parts_b),
-        nm,
-        mn,
-        "",
-    )
+    complements = []
+    for prod, label in ((nm, "n (x) m"), (mn, "m (x) n")):
+        parts = _strip_regular(prod)
+        if parts is None:
+            reason = (
+                f"the product {label} has no regular-bimodule summand "
+                f"(components {sorted(prod.component_dims().items())})"
+            )
+        elif (bad := next((x for x in parts if not is_projective(x)), None)) is not None:
+            reason = (
+                f"complement summand of {label} with dims "
+                f"{bad.dim_vector} is not projective"
+            )
+        else:
+            complements.append(_complement_bimodule(prod.left, parts))
+            continue
+        return SemtReport(False, None, None, nm, mn, reason)
+    return SemtReport(True, *complements, nm, mn, "")
 
 
 @dataclass
@@ -785,40 +666,29 @@ def check_unit_counit_pd(m: Bimodule, n: Bimodule, samples) -> UnitCounitReport:
     AlgebraMismatch.
     """
     data = adjunction_data(m, n)
-    a, b = m.right, m.left
+    # (side, sample algebra, first factor, second factor, defect)
+    sides = (
+        ("unit", m.right, m, n, data.unit_defect),
+        ("counit", m.left, n, m, data.counit_defect),
+    )
     entries = []
     for x in samples:
-        matched = False
-        if x.algebra is a:
-            matched = True
-            back = tensor(n, tensor(m, x))
-            defect = data.unit_defect(x)
-            split, _ = is_isomorphic(back, direct_sum([x, defect])[0])
-            entries.append(
-                {
-                    "side": "unit",
-                    "sample_dims": x.dim_vector,
-                    "defect_dims": defect.dim_vector,
-                    "splits": split,
-                    "defect_projective": is_projective(defect),
-                }
-            )
-        if x.algebra is b:
-            matched = True
-            back = tensor(m, tensor(n, x))
-            defect = data.counit_defect(x)
-            split, _ = is_isomorphic(back, direct_sum([x, defect])[0])
-            entries.append(
-                {
-                    "side": "counit",
-                    "sample_dims": x.dim_vector,
-                    "defect_dims": defect.dim_vector,
-                    "splits": split,
-                    "defect_projective": is_projective(defect),
-                }
-            )
+        matched = [side for side in sides if x.algebra is side[1]]
         if not matched:
             raise AlgebraMismatch("sample module is over neither algebra of the pair")
+        for side, _, first, second, defect_of in matched:
+            back = tensor(second, tensor(first, x))
+            defect = defect_of(x)
+            split, _ = is_isomorphic(back, direct_sum([x, defect])[0])
+            entries.append(
+                {
+                    "side": side,
+                    "sample_dims": x.dim_vector,
+                    "defect_dims": defect.dim_vector,
+                    "splits": split,
+                    "defect_projective": is_projective(defect),
+                }
+            )
     bad = [e for e in entries if not (e["splits"] and e["defect_projective"])]
     reason = ""
     if bad:

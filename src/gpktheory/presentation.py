@@ -140,10 +140,13 @@ class RelationElem:
         return cls(tuple(out))
 
     def __str__(self) -> str:
-        bits = []
-        for c, p in self.terms:
-            bits.append(f"{c}*{p}" if c != 1 else str(p))
-        return " + ".join(bits) + " = 0"
+        """The relation in the syntax the file parser reads: each term's sign,
+        then its absolute coefficient (the parser rejects "+ -1*x")."""
+        bits = [
+            ("- " if c < 0 else "+ ") + (str(p) if abs(c) == 1 else f"{abs(c)}*{p}")
+            for c, p in self.terms
+        ]
+        return " ".join(bits).removeprefix("+ ") + " = 0"
 
 
 def _path_key(q: Quiver, p: Path):

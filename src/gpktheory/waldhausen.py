@@ -393,16 +393,12 @@ def k0_oracle(data: FiniteWaldhausenData) -> AbelianGroupDescription:
     index = {cls: i for i, cls in enumerate(used)}
     labels = [f"w{cls}" for cls in used]
     rows = []
-    seen = set()
     for c in data.cofibrations:
         row = [0] * len(used)
         row[index[data.objects[c.dst].weak_class]] += 1
         row[index[data.objects[c.src].weak_class]] -= 1
         row[index[c.coker_class]] -= 1
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
+        rows.append(row)
     return group_from_presentation(labels, rows)
 
 

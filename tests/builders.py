@@ -426,3 +426,83 @@ def reference_solve(solver, b):
         else:
             x[pc] = tb[i]
     return x
+
+
+# references for the right-hand bimodule views --------------------------------
+
+
+def _reference_row_module(m, u):
+    """The right-algebra module on the left-vertex-u slice of m, over the
+    opposite of the right algebra."""
+    from gpktheory.morita import _rname, _tv
+    from gpktheory.presentation import opposite
+
+    op = opposite(m.right)
+    dims = {v: m.rep.dims[_tv(u, v)] for v in m.right.quiver.vertices}
+    maps = {al.label: m.rep.maps[_rname(u, al.label)] for al in op.quiver.arrows}
+    return Representation(op, dims, maps, check=True)
+
+
+def reference_right_module_of(m):
+    """morita.right_module_of written out: the right arrows act blockwise
+    over the left algebra's vertices."""
+    from gpktheory.morita import _rname, _tv
+    from gpktheory.presentation import opposite
+    from gpktheory.rep import block_diag
+
+    b, a = m.left, m.right
+    op = opposite(a)
+    bvs = b.quiver.vertices
+    dims = {v: sum(m.rep.dims[_tv(u, v)] for u in bvs) for v in a.quiver.vertices}
+    maps = {
+        al.label: block_diag(a.field, [m.rep.maps[_rname(u, al.label)] for u in bvs])
+        for al in op.quiver.arrows
+    }
+    return Representation(op, dims, maps, check=True)
+
+
+def reference_right_dual(m):
+    """morita.right_dual written out: the component at (v, u) is Hom over the
+    opposite of the right algebra from the u-row of m to the opposite
+    projective at v; the right algebra acts by right multiplication on the
+    projectives, the left algebra by precomposing with its action on rows."""
+    from gpktheory.morita import Bimodule, _lname, _rname, _tv, tensor_algebra
+    from gpktheory.presentation import opposite
+    from gpktheory.rep import (
+        Morphism,
+        _right_mult_on_projectives,
+        hom_basis,
+        hom_family_rep,
+        projective,
+    )
+
+    b, a = m.left, m.right
+    t = tensor_algebra(a, b)
+    op = opposite(a)
+    rows = {u: _reference_row_module(m, u) for u in b.quiver.vertices}
+    projs = {v: projective(op, v) for v in a.quiver.vertices}
+    homs = {
+        _tv(v, u): hom_basis(rows[u], projs[v])
+        for v in a.quiver.vertices
+        for u in b.quiver.vertices
+    }
+    actions = {}
+    for al in a.quiver.arrows:
+        w, v = al.source, al.target
+        for u in b.quiver.vertices:
+            rho = _right_mult_on_projectives(projs[w], projs[v], al.label)
+            actions[_lname(al.label, u)] = (_tv(w, u), _tv(v, u), lambda g, r=rho: r.compose(g))
+    for v in a.quiver.vertices:
+        for be in b.quiver.arrows:
+            u0, u1 = be.source, be.target
+            left_act = Morphism(
+                rows[u0],
+                rows[u1],
+                {v2: m.rep.maps[_lname(be.label, v2)] for v2 in a.quiver.vertices},
+            )
+            actions[_rname(v, be.label)] = (
+                _tv(v, u1),
+                _tv(v, u0),
+                lambda g, la=left_act: g.compose(la),
+            )
+    return Bimodule(a, b, hom_family_rep(t, homs, actions))

@@ -137,10 +137,14 @@ def test_serialize_round_trips_negative_coefficients(fld):
     once = serialize(parse(text))
     want = "b*a - d*c" if fld == "QQ" else "b*a + 4*d*c"
     assert once.endswith(f"relation {want} = 0\n")
+    # str() of a relation is the text serialize writes, so error messages
+    # quote relations in the syntax the parser reads
+    assert [str(r) for r in parse(text).relations] == [f"{want} = 0"]
     assert serialize(parse(once)) == once
     assert [r.terms for r in parse(once).relations] == [r.terms for r in parse(text).relations]
     lead = parse(text.replace("b*a - d*c", "-2*d*c + b*a"))
     assert [r.terms for r in parse(serialize(lead)).relations] == [r.terms for r in lead.relations]
+    assert str(lead.relations[0]) == ("- 2*d*c + b*a" if fld == "QQ" else "3*d*c + b*a") + " = 0"
 
 
 def test_serialize_canonical_form():

@@ -252,6 +252,25 @@ def test_group_from_presentation_golden():
     assert zmod2.same_group(AbelianGroupDescription(0, (2,), ("g",)))
 
 
+def test_group_from_presentation_drops_zero_and_repeated_rows(monkeypatch):
+    """Zero rows and repeats change no quotient: the group is the reduced
+    presentation's, and the Smith form only sees the first copy of each
+    nonzero row, in order."""
+    gens = ["a", "b", "c"]
+    reduced = [[2, -2, 0], [0, 3, 3], [1, 1, 1]]
+    noisy = [[0, 0, 0], [2, -2, 0], [0, 3, 3], [0, 0, 0], [2, -2, 0],
+             [1, 1, 1], [0, 3, 3], [0, 0, 0]]
+    want = group_from_presentation(gens, reduced)
+    seen = []
+    snf = exactla.smith_normal_form
+    monkeypatch.setattr(exactla, "smith_normal_form", lambda m: seen.append(m.rows) or snf(m))
+    got = group_from_presentation(gens, noisy)
+    assert (got.free_rank, got.invariant_factors) == (want.free_rank, want.invariant_factors)
+    assert seen == [tuple(map(tuple, reduced))]
+    zero = group_from_presentation(gens, [[0, 0, 0]] * 4)
+    assert (zero.free_rank, zero.invariant_factors) == (3, ())
+
+
 def test_group_order_matches_determinant():
     # for a full-rank square relation matrix the group is finite of order |det|
     rng = Random(5)

@@ -188,6 +188,20 @@ def test_certify_cache_consistency():
     assert v1 is v2 and v1.is_gp
 
 
+def test_certify_gp_memo_holds_default_bound_verdicts_only():
+    """The gp_certificates memo is keyed on module bytes alone, so certify_gp
+    takes no bound: a bound-1 verdict stored there would be returned for every
+    later query.  The simple at 1 of 61A over GF(3) is Inconclusive at bound 1
+    and NotGP (an Ext^2 witness) at the default bound."""
+    s = simple(alg61a(FieldSpec(3)), "1")
+    assert is_gp(s, bound=1).status == "Inconclusive"
+    with pytest.raises(TypeError):
+        certify_gp(s, bound=1)
+    v = certify_gp(s)
+    assert (v.status, v.criterion, v.data["degree"]) == ("NotGP", "ext-witness", 2)
+    assert certify_gp(s) is v
+
+
 def test_dim_cap_forces_unknown():
     a = alg61a()
     cat = gp_catalog(a, dim_cap=1)

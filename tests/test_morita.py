@@ -27,8 +27,9 @@ from gpktheory.morita import (
     tensor,
     tensor_algebra,
     tensor_bimodules,
+    transpose,
 )
-from gpktheory.presentation import Quiver, RelationElem, build_algebra
+from gpktheory.presentation import Quiver, RelationElem, build_algebra, opposite
 from gpktheory.rep import (
     Representation,
     direct_sum,
@@ -40,7 +41,16 @@ from gpktheory.rep import (
     zero_rep,
 )
 
-from builders import alg61a, alg61b, alg62a, alg62b, loop_square_zero, semisimple_two
+from builders import (
+    alg61a,
+    alg61b,
+    alg62a,
+    alg62b,
+    loop_square_zero,
+    reference_right_dual,
+    reference_right_module_of,
+    semisimple_two,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -239,6 +249,54 @@ def test_left_right_module_views():
     ok, _ = is_isomorphic(left_module_of(reg), regular(b))
     assert ok
     assert right_module_of(reg).total_dim == b.dim
+
+
+def transpose_cases():
+    """(name, bimodule): the regular and doubled regular bimodules of six
+    algebras over GF(2), GF(3) and GF(5), the (A, point) bimodule of each of
+    their projectives, the one-sided bimodule and its square, and free
+    bimodules over kx2 and 61B in both orders."""
+    algebras = {"61A": alg61a, "61B": alg61b, "62A": alg62a, "62B": alg62b,
+                "kx2": loop_square_zero, "semisimple2": semisimple_two}
+    for p in (2, 3, 5):
+        for name, make in algebras.items():
+            a = make(FieldSpec(p))
+            reg = regular_bimodule(a)
+            yield f"{name}/GF({p}) regular", reg
+            yield f"{name}/GF({p}) doubled", Bimodule(a, a, direct_sum([reg.rep, reg.rep])[0])
+            for v in a.quiver.vertices:
+                yield f"{name}/GF({p}) P({v}) over point", bimodule_from_module(projective(a, v))
+    m = one_sided_bimodule(arrow_algebra())
+    yield "one-sided", m
+    yield "one-sided squared", tensor_bimodules(m, m)
+    for p in (2, 3):
+        k, c = loop_square_zero(FieldSpec(p)), alg61b(FieldSpec(p))
+        yield f"free kx2-61B/GF({p})", Bimodule(k, c, regular(tensor_algebra(k, c)))
+        yield f"free 61B-kx2/GF({p})", Bimodule(c, k, regular(tensor_algebra(c, k)))
+
+
+def test_transpose_renames_components_and_actions():
+    b = arrow_algebra()
+    m = one_sided_bimodule(b)
+    t = transpose(m)
+    assert t.left is opposite(b) and t.right is opposite(b)
+    assert t.component_dims() == {(v, u): d for (u, v), d in m.component_dims().items()}
+    assert (t.rep.maps["2~a"] == m.rep.maps["a@2"]).all()
+
+
+def test_right_views_through_the_transpose_match_the_written_out_references():
+    """right_dual and right_module_of, each one call through transpose, give
+    the bytes and the algebra of their written-out references in builders,
+    and transposing twice gives the bimodule back."""
+    for name, m in transpose_cases():
+        back = transpose(transpose(m))
+        assert back.left is m.left and back.right is m.right, name
+        assert back.rep.algebra is m.rep.algebra and back.rep.key() == m.rep.key(), name
+        got, want = right_dual(m), reference_right_dual(m)
+        assert got.rep.algebra is want.rep.algebra, name
+        assert got.rep.key() == want.rep.key(), name
+        got, want = right_module_of(m), reference_right_module_of(m)
+        assert got.algebra is want.algebra and got.key() == want.key(), name
 
 
 def test_duals_of_regular_are_regular():

@@ -1,8 +1,9 @@
 """Source checks on the package: no assert statements (they vanish under
 `python -O`), only exactla compares against EXHAUSTIVE_CAP (one
 exhaustive-or-sampled policy), per-algebra caches go through the one
-memo, README's module table names every memo site, and each module-map
-primitive has one definition, in rep.py."""
+memo, README's module table names every memo site, no module assigns a
+dict, list or set at module level, and each module-map primitive has one
+definition, in rep.py."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,28 @@ def test_module_map_primitives_are_defined_once_in_rep():
     misplaced = {name: where for name, where in homes.items()
                  if len(where) != 1 or not where[0].startswith("rep.py:")}
     assert not misplaced, f"primitives not defined exactly once, in rep.py: {misplaced}"
+
+
+def test_no_module_level_mutable_containers():
+    """No module of the package assigns a dict, list or set at module level
+    (`__all__` aside): a cache is either a per-algebra memo site or a
+    `functools.cache` function, so no hand-made cache dict outlives its
+    algebras unseen."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    builders = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    found = []
+    for name, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target.id] if isinstance(node.target, ast.Name) else []
+            else:
+                continue
+            value = node.value
+            mutable = isinstance(value, containers) or (
+                isinstance(value, ast.Call) and _names(value.func) & builders
+            )
+            if mutable and targets != ["__all__"]:
+                found.append(f"{name}:{node.lineno} {', '.join(targets)}")
+    assert not found, f"module-level dict, list or set in src/gpktheory: {found}"
