@@ -2,9 +2,9 @@
 
 The package is organised bottom-up:
 
-- :mod:`gpktheory.exactla` — exact linear algebra over prime fields and the
-  rationals, finitely generated abelian group arithmetic, and algebras given
-  by structure constants (product, radical, quotients).
+- :mod:`gpktheory.exactla` — exact linear algebra over prime fields,
+  finitely generated abelian group arithmetic, and algebras given by
+  structure constants (product, radical, quotients).
 - :mod:`gpktheory.presentation` — quivers, paths, admissible relations, and
   finite-dimensional path-algebra quotients with verified multiplication.
 - :mod:`gpktheory.rep` — finite-dimensional left modules: Hom/Ext, (co)kernels,

@@ -2,7 +2,7 @@
 
 The input format is line-oriented with '#' comments:
 
-    algebra <name> over GF(<p>) | QQ
+    algebra <name> over GF(<p>)
     vertices <v1> <v2> ...
     arrow <name> : <src> -> <tgt>
     relation <term> (+|-) <term> ... = 0
@@ -54,7 +54,7 @@ from .presentation import (
     RelationElem,
     build_algebra,
 )
-from .rep import FieldUnsupported, Representation
+from .rep import Representation
 from .waldhausen import build_wdata, k0_oracle
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -128,7 +128,7 @@ def _parse_term(sign, text, q, f, lineno, line):
             labels.append(tok)
     if not labels:
         raise CliError(f"line {lineno}: term '{text}' has no arrows", lineno)
-    return int(f.canon(coeff)) if f.char else f.canon(coeff), labels
+    return f.canon(coeff), labels
 
 
 def parse(text: str) -> AlgebraFile:
@@ -153,8 +153,12 @@ def parse(text: str) -> AlgebraFile:
             name = parts[1]
             spec = parts[3]
             if spec == "QQ":
-                fld = FieldSpec(0)
-            elif spec.startswith("GF(") and spec.endswith(")"):
+                raise CliError(
+                    f"line {lineno}: field QQ is not supported: gpk computes "
+                    "over a finite prime field GF(p)",
+                    lineno,
+                )
+            if spec.startswith("GF(") and spec.endswith(")"):
                 body = spec[3:-1]
                 if not body.isdigit():
                     raise CliError(
@@ -690,7 +694,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         out, lines, code = args.fn(args)
-    except (CliError, ValueError, FieldUnsupported) as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

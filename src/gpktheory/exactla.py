@@ -1,15 +1,14 @@
-"""Exact linear algebra over GF(p) and QQ, plus integer Smith normal form.
+"""Exact linear algebra over GF(p), plus integer Smith normal form.
 
 Matrices over GF(p) are numpy int64 arrays holding canonical residues in
-[0, p).  Matrices over QQ are numpy object arrays holding Fractions.  All
-reductions produce fully reduced row echelon forms, so equal row spaces
-give byte-identical bases and every caller sees deterministic output.
+[0, p).  All reductions produce fully reduced row echelon forms, so equal
+row spaces give byte-identical bases and every caller sees deterministic
+output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -40,9 +39,9 @@ EXHAUSTIVE_CAP = 4096
 
 
 def is_exhaustive(f: FieldSpec, n: int) -> bool:
-    """Whether a search over f^n tests every vector: f is GF(p) and
-    p**n <= EXHAUSTIVE_CAP.  The one cap test of every coefficient search."""
-    return bool(f.char) and f.char**n <= EXHAUSTIVE_CAP
+    """Whether a search over f^n tests every vector: p**n <= EXHAUSTIVE_CAP
+    for f = GF(p).  The one cap test of every coefficient search."""
+    return f.char**n <= EXHAUSTIVE_CAP
 
 
 def coeff_vectors(f: FieldSpec, n: int, *, seed=0, tries=0):
@@ -53,7 +52,7 @@ def coeff_vectors(f: FieldSpec, n: int, *, seed=0, tries=0):
     increasing base-p order (entry i is digit i), so a search for a
     property that nonzero scalars preserve finds the same first hit as
     among all vectors.  For n = 0 there are no lines.  For n = 1 it is the
-    unit vector [[1]], the one line, at every prime and over QQ.
+    unit vector [[1]], the one line, at every prime.
 
     Otherwise sampled: `sampled_coeff_vectors(f, n, seed, tries)`.
     """
@@ -100,8 +99,7 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: GF(char) for prime char <= MAX_PRIME, or QQ when
-    char == 0."""
+    """Coefficient field GF(char) for a prime char <= MAX_PRIME."""
 
     char: int
 
@@ -111,96 +109,64 @@ class FieldSpec:
                 f"field characteristic {self.char} is above {MAX_PRIME}, the "
                 "largest prime whose int64 arithmetic is exact"
             )
-        if self.char != 0 and not _is_prime(self.char):
-            raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
+        if not _is_prime(self.char):
+            raise ValueError(
+                f"field characteristic must be a prime, got {self.char}: gpk "
+                "computes over a finite prime field GF(p)"
+            )
 
     @property
     def label(self) -> str:
-        return f"GF({self.char})" if self.char else "QQ"
+        return f"GF({self.char})"
 
     # scalar helpers --------------------------------------------------
 
     def canon(self, x):
-        if self.char:
-            return int(x) % self.char
-        return Fraction(x)
+        return int(x) % self.char
 
     def inv_scalar(self, x):
-        if self.char:
-            x = int(x) % self.char
-            if x == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return pow(x, self.char - 2, self.char)
-        x = Fraction(x)
-        return 1 / x
+        x = int(x) % self.char
+        if x == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return pow(x, self.char - 2, self.char)
 
     def elements(self):
-        """Iterate all field elements (finite fields only)."""
-        if not self.char:
-            raise ValueError("QQ is not enumerable")
+        """Iterate all field elements."""
         return range(self.char)
 
     def random_scalar(self, rng):
-        if self.char:
-            return rng.randrange(self.char)
-        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        return rng.randrange(self.char)
 
     # matrix constructors ---------------------------------------------
 
     def array(self, rows) -> np.ndarray:
-        if self.char:
-            a = np.asarray(rows, dtype=np.int64)  # the remainder makes the copy
-            if a.ndim == 1:
-                a = a.reshape(1, -1) if a.size else a.reshape(1, 0)
-            return np.remainder(a, self.char, order="C")
-        a = np.empty(np.shape(rows), dtype=object)
-        src = np.array(rows, dtype=object)
-        flat_src = src.reshape(-1)
-        flat = a.reshape(-1)
-        for i in range(flat_src.size):
-            flat[i] = Fraction(flat_src[i])
+        a = np.asarray(rows, dtype=np.int64)  # the remainder makes the copy
         if a.ndim == 1:
-            a = a.reshape(1, -1)
-        return a
+            a = a.reshape(1, -1) if a.size else a.reshape(1, 0)
+        return np.remainder(a, self.char, order="C")
 
     def zeros(self, shape) -> np.ndarray:
-        if self.char:
-            return np.zeros(shape, dtype=np.int64)
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
+        return np.zeros(shape, dtype=np.int64)
 
     def eye(self, n: int) -> np.ndarray:
-        a = self.zeros((n, n))
-        for i in range(n):
-            a[i, i] = 1 if self.char else Fraction(1)
-        return a
+        return np.eye(n, dtype=np.int64)
 
     # arithmetic -------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.char:
-            return (a @ b) % self.char
-        return np.dot(a, b)
+        return (a @ b) % self.char
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.char:
-            return (a + b) % self.char
-        return a + b
+        return (a + b) % self.char
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.char:
-            return (a - b) % self.char
-        return a - b
+        return (a - b) % self.char
 
     def scale(self, c, a: np.ndarray) -> np.ndarray:
-        if self.char:
-            return (a * (int(c) % self.char)) % self.char
-        return a * Fraction(c)
+        return (a * (int(c) % self.char)) % self.char
 
 
 GF = FieldSpec
-QQ = FieldSpec(0)
 
 
 @dataclass(frozen=True)
@@ -235,9 +201,7 @@ def rref(field: FieldSpec, a: np.ndarray):
     """
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), []
-    if field.char:
-        return _rref_fp(a, field.char)
-    return _rref_qq(a)
+    return _rref_fp(a, field.char)
 
 
 def _rref_fp(a: np.ndarray, p: int):
@@ -310,38 +274,6 @@ def _inverses_fp(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rref_qq(a: np.ndarray):
-    rows = [[Fraction(x) for x in row] for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    out = np.empty((r, ncols), dtype=object)
-    for i in range(r):
-        for j in range(ncols):
-            out[i, j] = rows[i][j]
-    return out, pivots
-
-
 def rank_of(field: FieldSpec, a: np.ndarray) -> int:
     return len(rref(field, a)[1])
 
@@ -349,13 +281,12 @@ def rank_of(field: FieldSpec, a: np.ndarray) -> int:
 def rank_stack(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     """Rank of every matrix in an (N, r, c) stack.
 
-    Over GF(p) a stack of more than one matrix takes one `rref_stack_fp`,
-    which steps once per column for the whole stack, so the shorter side
-    becomes the columns (transposing keeps ranks).  A single matrix, and
-    every matrix over QQ, takes `rank_of`, which passes non-pivot columns
-    cheaply.
+    A stack of more than one matrix takes one `rref_stack_fp`, which steps
+    once per column for the whole stack, so the shorter side becomes the
+    columns (transposing keeps ranks).  A single matrix takes `rank_of`,
+    which passes non-pivot columns cheaply.
     """
-    if field.char and len(a) > 1:
+    if len(a) > 1:
         return rref_stack_fp(a if a.shape[2] <= a.shape[1] else a.transpose(0, 2, 1), field.char)[1]
     return np.array([rank_of(field, m) for m in a], dtype=np.int64)
 
@@ -372,8 +303,7 @@ def kernel(field: FieldSpec, a: np.ndarray) -> np.ndarray:
     free = [c for c in range(ncols) if c not in pivset]
     out = field.zeros((len(free), ncols))
     out[np.arange(len(free)), free] = field.canon(1)
-    minus = -red[:, free].T
-    out[:, pivots] = minus % field.char if field.char else minus
+    out[:, pivots] = -red[:, free].T % field.char
     return out
 
 
@@ -658,7 +588,7 @@ def group_from_presentation(generators, relations) -> AbelianGroupDescription:
 
 
 class StructureAlgebra:
-    """A finite-dimensional algebra with unit over a prime field or QQ.
+    """A finite-dimensional algebra with unit over a prime field.
 
     structure[i, j] holds the coordinates of b_i b_j on the basis
     b_0 .. b_(e-1).  Elements are coordinate vectors; every product method
@@ -675,7 +605,7 @@ class StructureAlgebra:
             raise ValueError("structure constants must be (e, e, e) with a unit of length e")
 
     def _canon(self, a: np.ndarray) -> np.ndarray:
-        return a % self.field.char if self.field.char else a
+        return a % self.field.char
 
     def _times_basis(self, x) -> np.ndarray:
         """[..., j, :] holds the coordinates of x b_j."""
@@ -686,7 +616,7 @@ class StructureAlgebra:
 
     def mult(self, x, y) -> np.ndarray:
         """The product x y: one contraction with the structure constants per
-        factor, mod p over GF(p) and on Fractions over QQ."""
+        factor, mod p."""
         y = np.asarray(y)
         return self._canon(y[..., None, :] @ self._times_basis(x))[..., 0, :]
 
@@ -740,13 +670,10 @@ class StructureAlgebra:
     def frobenius(self) -> np.ndarray:
         """Matrix of x -> x^p, which is GF(p)-linear on a commutative algebra
         of characteristic p: column i holds b_i^p."""
-        p = self.field.char
-        if not p:
-            raise ValueError("the Frobenius map needs a finite prime field")
-        return self.power(self.field.eye(self.dim), p).T
+        return self.power(self.field.eye(self.dim), self.field.char).T
 
     def radical(self) -> np.ndarray:
-        """RREF basis of the Jacobson radical.  Over GF(p) only.
+        """RREF basis of the Jacobson radical.
 
         Ronyai's chain (Cohen, Ivanyos and Wales, JPAA 117, 1997) in the left
         regular representation x -> L_x on e coordinates: with an integer
@@ -758,8 +685,6 @@ class StructureAlgebra:
         """
         f = self.field
         p = f.char
-        if not p:
-            raise ValueError("the radical is computed over GF(p) only")
         e = self.dim
         space = f.eye(e)  # rows span I_(i-1)
         trace = np.trace(self.structure, axis1=1, axis2=2) % p  # Tr L_(b_k)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .exactla import CertificateError, coeff_vectors
 from .presentation import FiniteDimAlgebra, opposite
 from .rep import (
-    FieldUnsupported,
     HomSpace,
     Representation,
     decompose,
@@ -229,8 +228,6 @@ def gp_catalog(
     list are sampled from `seed`, with a note, and the verdict is then
     Unknown too: the catalog may miss a summand of an unsampled class.
     """
-    if a.field.char == 0:
-        raise FieldUnsupported("GP catalog search requires a finite prime field")
     if dim_cap is None:
         dim_cap = 64 * a.dim
     report = dimension_report(a)

@@ -214,7 +214,7 @@ def _tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebr
     rank[order] = np.arange(e)
     # the Kronecker product of the two tables, written straight into basis
     # order at the products of nonzero constants: dense, it costs
-    # dim(b)^3 dim(o)^3 products, seconds on Fractions over QQ
+    # dim(b)^3 dim(o)^3 products
     i, k, m = np.nonzero(b.structure)
     j, l, n = np.nonzero(o.structure)
 
@@ -223,7 +223,7 @@ def _tensor_algebra(b: FiniteDimAlgebra, a: FiniteDimAlgebra) -> FiniteDimAlgebr
 
     prods = np.multiply.outer(b.structure[i, k, m], o.structure[j, l, n])
     table = f.zeros((e, e, e))
-    table[at(i, j), at(k, l), at(m, n)] = prods % f.char if f.char else prods
+    table[at(i, j), at(k, l), at(m, n)] = prods % f.char
     basis = [names[c] for c in order]
     t = FiniteDimAlgebra(
         f,
@@ -380,8 +380,7 @@ def transpose(m: Bimodule) -> Bimodule:
 
 
 def _kron(f, x, y):
-    k = np.kron(x, y)
-    return (k % f.char) if f.char else k
+    return np.kron(x, y) % f.char
 
 
 def tensor_bimodules(m: Bimodule, n: Bimodule) -> Bimodule:

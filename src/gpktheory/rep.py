@@ -24,10 +24,6 @@ from .exactla import (
 from .presentation import FiniteDimAlgebra, Path, opposite
 
 
-class FieldUnsupported(Exception):
-    """Certified decomposition is not available over this field."""
-
-
 class Representation:
     """A module over a FiniteDimAlgebra, given by vertex dims and arrow maps."""
 
@@ -42,9 +38,7 @@ class Representation:
             if m is None:
                 m = f.zeros(shape)
             else:
-                m = f.array(m) if not isinstance(m, np.ndarray) else (
-                    m % f.char if f.char else m
-                )
+                m = f.array(m) if not isinstance(m, np.ndarray) else m % f.char
                 m = m.reshape(shape)
             self.maps[a.label] = m
         self._key = None
@@ -80,11 +74,7 @@ class Representation:
         if self._key is None:
             bits = [repr(self.dim_vector).encode()]
             for a in self.algebra.quiver.arrows:
-                m = self.maps[a.label]
-                if self.field.char:
-                    bits.append(m.tobytes())
-                else:
-                    bits.append(repr([[str(x) for x in row] for row in m]).encode())
+                bits.append(self.maps[a.label].tobytes())
             self._key = b"|".join(bits)
         return self._key
 
@@ -186,9 +176,7 @@ class Morphism:
         parts = [self.blocks[v].reshape(-1) for v in self.domain.algebra.quiver.vertices]
         if not parts:
             return f.zeros((0,))
-        return np.concatenate(parts) if f.char else np.concatenate(
-            [p.astype(object) for p in parts]
-        )
+        return np.concatenate(parts)
 
     def verify(self):
         """Check the commuting squares (used after hand assembly)."""
@@ -202,9 +190,7 @@ class Morphism:
 
 
 def _eq(f: FieldSpec, a: np.ndarray, b: np.ndarray) -> bool:
-    if f.char:
-        return bool(((a - b) % f.char == 0).all())
-    return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
+    return bool(((a - b) % f.char == 0).all())
 
 
 def morphism_from_vector(m: Representation, n: Representation, vec) -> Morphism:
@@ -213,9 +199,8 @@ def morphism_from_vector(m: Representation, n: Representation, vec) -> Morphism:
     at = 0
     for v in m.algebra.quiver.vertices:
         size = n.dims[v] * m.dims[v]
-        blocks[v] = np.array(vec[at : at + size]).reshape(n.dims[v], m.dims[v])
-        if f.char:
-            blocks[v] = blocks[v].astype(np.int64) % f.char
+        block = np.array(vec[at : at + size]).reshape(n.dims[v], m.dims[v])
+        blocks[v] = block.astype(np.int64) % f.char
         at += size
     return Morphism(m, n, blocks)
 
@@ -571,7 +556,7 @@ def _hom_system(m: Representation, n: Representation):
             block[:, offs[u] : offs[u] + sizes[u]] = f.sub(
                 block[:, offs[u] : offs[u] + sizes[u]], kron2
             )
-        rows.append(block if not f.char else block % f.char)
+        rows.append(block % f.char)
     if not rows:
         return f.zeros((0, total)), total
     return np.concatenate(rows, axis=0), total
@@ -891,9 +876,7 @@ def is_isomorphic(m: Representation, n: Representation):
     m -> n that are not invertible form a proper subspace of Hom(m, n).
     A decomposable m is decided by Krull-Schmidt (`match_summands`), and
     for equal summand multisets a miss of `_find_isomorphism` is a
-    CertificateError.  Over QQ, where `decompose` seldom certifies, that
-    search runs first, and a negative may raise FieldUnsupported.
-    Memoized per algebra on both modules' bytes.
+    CertificateError.  Memoized per algebra on both modules' bytes.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
@@ -902,8 +885,6 @@ def is_isomorphic(m: Representation, n: Representation):
 
     def decide():
         witness = next((b for b in hom_basis(m, n).basis if b.is_iso()), None)
-        if witness is None and not m.field.char:
-            witness = _find_isomorphism(m, n)
         if witness is None and len(_decompose_rec(m)) > 1 and (
                 match_summands(decompose(m), decompose(n)) is not None):
             witness = _find_isomorphism(m, n)
@@ -979,10 +960,9 @@ def decompose(m: Representation):
     """Indecomposable summands with multiplicities, canonically ordered.
 
     Summands are split off by Fitting's lemma: m = ker(g^N) + im(g^N) for
-    shifts g - lam of sampled endomorphisms g.  Over finite fields one
-    stacked rank test per vertex of the shifts' powers
-    (`_shift_fitting_kernels`) keeps only the shifts that split, so
-    `_fitting_split` runs only on those.  When no sampled shift splits,
+    shifts g - lam of sampled endomorphisms g.  One stacked rank test per
+    vertex of the shifts' powers (`_shift_fitting_kernels`) keeps only the
+    shifts that split, so `_fitting_split` runs only on those.  When no sampled shift splits,
     the certificate is S = End(m) / rad, with End(m) a `StructureAlgebra`
     on the coordinates of the hom basis: m is indecomposable exactly when
     S is a field.  S = GF(p) is read off the radical's dimension.  A
@@ -991,10 +971,8 @@ def decompose(m: Representation):
     A noncommutative S means m is decomposable, and one search over End(m)
     finds the split: over every line when `coeff_vectors` is exhaustive,
     where the line of a nontrivial idempotent splits, otherwise over
-    seeded draws.  Over QQ only opportunistic splitting is available and
-    FieldUnsupported is raised when certification would be required.
-    Pieces are memoized per algebra (`_decompose_rec`), so a summand met
-    again is not split again.
+    seeded draws.  Pieces are memoized per algebra (`_decompose_rec`), so a
+    summand met again is not split again.
     """
     if m.is_zero:
         return []
@@ -1030,12 +1008,10 @@ def _split_pieces(m: Representation):
     if ends.dim == 1:
         return [m]
     cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, 0, 8)]
-    lambdas = list(f.elements()) if f.char else [0, 1, -1, 2, -2]
+    lambdas = list(f.elements())
     split = _first_fitting_split(m, cands, lambdas)
-    if split is None and not f.char:
-        raise FieldUnsupported("cannot certify indecomposability over QQ")
     if split is None:
-        # certification over GF(p): m is indecomposable iff S = End(m) / rad is a field
+        # certification: m is indecomposable iff S = End(m) / rad is a field
         end = _end_algebra(ends)
         rad = end.radical()
         if ends.dim - rad.shape[0] == 1:
@@ -1073,10 +1049,10 @@ _STACK_BYTES = exactla.STACK_BYTES
 def _shift_fitting_kernels(m: Representation, cands, lambdas) -> np.ndarray:
     """kernels[i, j] = dim ker (cands[i] - lambdas[j] * 1)^N for large N.
 
-    Over GF(p) only.  Every shift is raised, at each vertex v, to a power
-    2^k >= d_v by batched squaring, where the kernels of the powers of a
-    d_v x d_v matrix have settled; one stacked row reduction per vertex and
-    chunk then ranks the powers.  Chunks keep each temporary under
+    Every shift is raised, at each vertex v, to a power 2^k >= d_v by
+    batched squaring, where the kernels of the powers of a d_v x d_v
+    matrix have settled; one stacked row reduction per vertex and chunk
+    then ranks the powers.  Chunks keep each temporary under
     _STACK_BYTES.
     """
     p = m.field.char
@@ -1102,18 +1078,17 @@ def _shift_fitting_kernels(m: Representation, cands, lambdas) -> np.ndarray:
 def _first_fitting_split(m: Representation, cands, lambdas):
     """First Fitting split of m by a shift g - lam, candidates outermost.
 
-    Over GF(p) a shift splits m exactly when the kernel of its high powers
-    is neither 0 (invertible) nor all of m (nilpotent); the stacked
-    kernel ranks skip every other shift without changing which split
-    comes first.
+    A shift splits m exactly when the kernel of its high powers is
+    neither 0 (invertible) nor all of m (nilpotent); the stacked kernel
+    ranks skip every other shift without changing which split comes
+    first.
     """
     f = m.field
-    if f.char:
-        kernels = _shift_fitting_kernels(m, cands, lambdas)
-        splits = (kernels > 0) & (kernels < m.total_dim)
+    kernels = _shift_fitting_kernels(m, cands, lambdas)
+    splits = (kernels > 0) & (kernels < m.total_dim)
     ident = identity_morphism(m)
     for i, g in enumerate(cands):
-        for j in np.flatnonzero(splits[i]) if f.char else range(len(lambdas)):
+        for j in np.flatnonzero(splits[i]):
             split = _fitting_split(m, g.add(ident.scale(f.canon(-lambdas[j]))))
             if split is not None:
                 return split
@@ -1121,7 +1096,7 @@ def _first_fitting_split(m: Representation, cands, lambdas):
 
 
 def _end_algebra(ends: HomSpace) -> StructureAlgebra:
-    """End(m) on the coordinates of its hom basis.  Over GF(p) only.
+    """End(m) on the coordinates of its hom basis.
 
     The products b_i b_j are formed by one stacked matrix product per
     vertex, in chunks of rows i that keep each temporary under

@@ -371,8 +371,7 @@ def _verify_exact_stack(f, monos: dict, quots: dict):
     if any(np.any(exactla.rank_stack(f, q) != q.shape[1]) for q in quots.values()):
         raise CertificateError("quotient map is not an epimorphism")
     for v in monos:
-        prod = quots[v] @ monos[v]
-        if np.any(prod % f.char != 0 if f.char else prod != 0):
+        if np.any(quots[v] @ monos[v] % f.char != 0):
             raise CertificateError("quotient does not vanish on the cofibration")
     ydim, xdim = (sum(m.shape[i] for m in monos.values()) for i in (1, 2))
     if ydim != xdim + sum(q.shape[1] for q in quots.values()):

@@ -396,20 +396,16 @@ def reference_induced_pushout_map(q, qp, vy, vz):
 def reference_kernel(field, a):
     """exactla.kernel with its fill written as one loop per free column and
     pivot: entry 1 at free column f, -R[i, f] at each pivot column."""
-    from fractions import Fraction
-
     from gpktheory.exactla import rref
 
     ncols = a.shape[1]
     red, pivots = rref(field, a)
     free = [c for c in range(ncols) if c not in set(pivots)]
     out = field.zeros((len(free), ncols))
-    one = 1 if field.char else Fraction(1)
     for k, f in enumerate(free):
-        out[k, f] = one
+        out[k, f] = 1
         for i, pc in enumerate(pivots):
-            v = red[i, f]
-            out[k, pc] = (-int(v)) % field.char if field.char else -v
+            out[k, pc] = (-int(red[i, f])) % field.char
     return out
 
 

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from gpktheory.cli import CliError, main, make_parser, parse, serialize
+from gpktheory.cli import AlgebraFile, CliError, main, make_parser, parse, serialize
 from gpktheory.cli import DATA_DIR
+from gpktheory.exactla import FieldSpec
+from gpktheory.presentation import Quiver, RelationElem
 
 GF5_61A = (DATA_DIR / "example61A.alg").read_text()
 GF3_61B = (DATA_DIR / "example61B.alg").read_text()
@@ -81,8 +83,12 @@ def test_parse_errors_name_the_line():
         parse("algebra t over GF(3)\nvertices 1\narrow x : 1 -> 2\n")
     with pytest.raises(CliError, match="line 1: malformed field"):
         parse("algebra t over GF(six)\n")
-    with pytest.raises(CliError, match="line 1: .*must be 0 or prime"):
+    with pytest.raises(CliError, match="line 1: .*must be a prime"):
         parse("algebra t over GF(4)\n")
+    with pytest.raises(CliError, match="line 1: .*must be a prime"):
+        parse("algebra t over GF(0)\n")
+    with pytest.raises(CliError, match="line 2: field QQ is not supported: .*finite prime field"):
+        parse("# rationals\nalgebra t over QQ\n")
     with pytest.raises(CliError, match="line 2: 'vertices' before"):
         parse("# hi\nvertices 1\n")
     with pytest.raises(CliError, match="line 4: relation must end"):
@@ -121,10 +127,10 @@ def test_serialize_round_trips_the_corpus():
         assert af1.options == af2.options
 
 
-@pytest.mark.parametrize("fld", ["QQ", "GF(5)"])
+@pytest.mark.parametrize("fld", ["GF(5)"])
 def test_serialize_round_trips_negative_coefficients(fld):
     """A commutative square and a relation that opens with a negative term:
-    serialize writes the sign, then the absolute coefficient."""
+    parsing makes every coefficient a residue of GF(5)."""
     text = (
         f"algebra square over {fld}\n"
         "vertices 1 2 3 4\n"
@@ -135,7 +141,7 @@ def test_serialize_round_trips_negative_coefficients(fld):
         "relation b*a - d*c = 0\n"
     )
     once = serialize(parse(text))
-    want = "b*a - d*c" if fld == "QQ" else "b*a + 4*d*c"
+    want = "b*a + 4*d*c"
     assert once.endswith(f"relation {want} = 0\n")
     # str() of a relation is the text serialize writes, so error messages
     # quote relations in the syntax the parser reads
@@ -144,7 +150,22 @@ def test_serialize_round_trips_negative_coefficients(fld):
     assert [r.terms for r in parse(once).relations] == [r.terms for r in parse(text).relations]
     lead = parse(text.replace("b*a - d*c", "-2*d*c + b*a"))
     assert [r.terms for r in parse(serialize(lead)).relations] == [r.terms for r in lead.relations]
-    assert str(lead.relations[0]) == ("- 2*d*c + b*a" if fld == "QQ" else "3*d*c + b*a") + " = 0"
+    assert str(lead.relations[0]) == "3*d*c + b*a = 0"
+
+
+def test_serialize_writes_a_negative_written_coefficient():
+    """A relation built from written coefficients keeps its -1, so serialize
+    writes the sign, then the absolute coefficient; parsing the text back
+    gives the canonical residues of GF(5)."""
+    q = Quiver.make(
+        ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    )
+    square = RelationElem.from_written(q, [(1, ["b", "a"]), (-1, ["d", "c"])])
+    assert str(square) == "b*a - d*c = 0"
+    text = serialize(AlgebraFile("square", FieldSpec(5), q, [square]))
+    assert text.endswith("relation b*a - d*c = 0\n")
+    canonical = RelationElem.from_written(q, [(1, ["b", "a"]), (4, ["d", "c"])])
+    assert [r.terms for r in parse(text).relations] == [canonical.terms]
 
 
 def test_serialize_canonical_form():
@@ -334,9 +355,11 @@ def test_missing_file_exits_one():
     assert "no such file" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "gp", "k0", "k1", "oracle-k0"])
+@pytest.mark.parametrize("command", ["analyze", "gp", "k0", "k1", "oracle-k0", "semt", "compare"])
 def test_rational_field_exits_one_without_traceback(command):
-    code, out, err = run([command, "kx2.alg", "--field", "0"])
+    files = {"semt": ["kx2.alg", "kx2.alg", "kx2_regular.bim", "kx2_regular.bim"],
+             "compare": ["kx2.alg", "kx2.alg"]}.get(command, ["kx2.alg"])
+    code, out, err = run([command, *files, "--field", "0"])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -32,7 +32,6 @@ from builders import all_coeff_vectors, random_matrix
 GF5 = FieldSpec(5)
 GF7 = FieldSpec(7)
 GF3 = FieldSpec(3)
-QQ = FieldSpec(0)
 
 
 def test_rank_kernel_golden():
@@ -135,6 +134,12 @@ def test_primes_above_the_exact_range_are_rejected(p):
         FieldSpec(p)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_non_primes_are_rejected(p):
+    with pytest.raises(ValueError, match="must be a prime.*finite prime field"):
+        FieldSpec(p)
+
+
 def test_kernel_annihilates_and_dimensions_add():
     rng = Random(2)
     for _ in range(40):
@@ -146,16 +151,6 @@ def test_kernel_annihilates_and_dimensions_add():
         assert r + k.shape[0] == nc
         if k.shape[0]:
             assert (np.dot(a, k.T) % 7 == 0).all()
-
-
-def test_qq_kernel_fractions():
-    a = QQ.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-    # second row = 3 * first row, so rank 1
-    assert rank_of(QQ, a) == 1
-    k = kernel(QQ, a)
-    assert k.shape == (1, 2)
-    v = k[0]
-    assert Fraction(1, 2) * v[0] + Fraction(1, 3) * v[1] == 0
 
 
 def test_invert_and_solve_matrix():
@@ -322,13 +317,18 @@ def test_group_order_matches_coset_count():
 
 
 def test_free_rank_matches_rational_rank():
+    # entries are at most 5 in absolute value and there are at most 3 rows,
+    # so by Hadamard's bound every minor is at most (5 * 3**0.5)**3 < 650 <
+    # 65521 in absolute value: a minor vanishes mod 65521 exactly when it
+    # vanishes, and the rank over GF(65521) is the rational rank
+    big = FieldSpec(65521)
     rng = Random(7)
     for _ in range(20):
         nr = rng.randrange(1, 4)
         nc = rng.randrange(1, 5)
         rows = [[rng.randrange(-5, 6) for _ in range(nc)] for _ in range(nr)]
         g = group_from_presentation([f"g{i}" for i in range(nc)], rows)
-        r = rank_of(QQ, QQ.array(rows))
+        r = rank_of(big, big.array(rows))
         assert g.free_rank == nc - r
 
 
@@ -361,23 +361,12 @@ def test_coeff_vectors_enumerate_every_vector_and_every_line(p):
 def test_coeff_vectors_at_n_zero():
     assert coeff_vectors(GF5, 0)[0].tolist() == []
     assert coeff_vectors(GF5, 0)[1]
-    vecs, exhaustive = coeff_vectors(QQ, 0, tries=10)
-    assert not exhaustive and list(vecs) == []
 
 
-def test_coeff_vectors_over_qq_are_never_exhaustive():
-    # except the one line of QQ^1, tested below
-    for n in (0, 2, 3, 4):
-        vecs, exhaustive = coeff_vectors(QQ, n, seed=n, tries=4)
-        assert not exhaustive
-        vecs = list(vecs)
-        assert vecs[:n] == [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-@pytest.mark.parametrize("p", [2, 5, 65521, 0])
+@pytest.mark.parametrize("p", [2, 5, 65521])
 def test_coeff_vectors_list_the_one_line_at_every_field(p):
-    """F^1 is one line at every prime and over QQ: its unit vector is an
-    exhaustive search, with no draws, whatever the seed and tries."""
+    """F^1 is one line at every prime: its unit vector is an exhaustive
+    search, with no draws, whatever the seed and tries."""
     vecs, exhaustive = coeff_vectors(FieldSpec(p), 1, seed=7, tries=128)
     assert exhaustive and vecs.dtype == np.int64 and vecs.tolist() == [[1]]
 
@@ -394,7 +383,7 @@ def _old_sampled_vectors(f, n, seed, tries):
             yield vec
 
 
-@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (5, 6), (7, 5), (65521, 1), (0, 1), (0, 3)])
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 8), (5, 6), (7, 5), (65521, 1), (2, 1)])
 def test_sampled_branch_matches_the_old_generators(p, n):
     f = FieldSpec(p)
     dropped = 0
@@ -406,7 +395,7 @@ def test_sampled_branch_matches_the_old_generators(p, n):
                 got, exhaustive = coeff_vectors(f, n, seed=seed, tries=tries)
                 assert not exhaustive and [list(v) for v in got] == vecs
             dropped += n + tries - len(vecs)
-    if (p, n) == (0, 1):
+    if (p, n) == (2, 1):
         assert dropped  # zero draws occur and are dropped
 
 
@@ -429,7 +418,7 @@ def _identical(x, y):
             and [(type(u), u) for u in x.reshape(-1)] == [(type(v), v) for v in y.reshape(-1)])
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 65521, 0])
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_vectorized_fills_match_the_loops(p):
     """kernel and LinearSolver.solve give the arrays of the loop references
     on random low-rank matrices, empty shapes included."""
@@ -438,7 +427,7 @@ def test_vectorized_fills_match_the_loops(p):
     f = FieldSpec(p)
     rng = Random(f"fills/{p}")
     outcomes = set()
-    for _ in range(300 if p else 60):
+    for _ in range(300):
         rows, cols = rng.randrange(7), rng.randrange(7)
         a = _random_matrix(f, rng, rows, cols, rng.randrange(min(rows, cols) + 1))
         ker = kernel(f, a)

@@ -18,7 +18,6 @@ from gpktheory.gorenstein import (
 )
 from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
 from gpktheory.rep import (
-    FieldUnsupported,
     cyclic_module,
     is_isomorphic,
     is_projective,
@@ -173,11 +172,6 @@ def test_catalog_square_zero_loop():
 def test_catalog_semisimple_free():
     cat = gp_catalog(semisimple_two())
     assert cat.verdict == "CMFree"
-
-
-def test_catalog_rejects_rationals():
-    with pytest.raises(FieldUnsupported):
-        gp_catalog(alg61a(FieldSpec(0)))
 
 
 def test_certify_cache_consistency():

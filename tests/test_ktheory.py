@@ -496,12 +496,6 @@ def test_shape_checks_raise_value_error():
         K1Class(ring, (1, 0)).mul(K1Class(other, (1, 0)))
 
 
-def test_frobenius_needs_a_finite_field():
-    ring = FiniteCommutativeRing.from_field(FieldSpec(0))
-    with pytest.raises(UnsupportedRing):
-        unit_group(ring)
-
-
 def test_ktheory_tests_pass_under_python_O():
     """The certificates of ktheory, gorenstein, stable, rep, presentation,
     morita and exactla (with the shared algebra) and waldhausen's certificate

@@ -2,8 +2,9 @@
 `python -O`), only exactla compares against EXHAUSTIVE_CAP (one
 exhaustive-or-sampled policy), per-algebra caches go through the one
 memo, README's module table names every memo site, no module assigns a
-dict, list or set at module level, and each module-map primitive has one
-definition, in rep.py."""
+dict, list or set at module level, each module-map primitive has one
+definition, in rep.py, and every field is GF(p): nothing imports
+`fractions` and no `.char` is read as a truth value."""
 
 import ast
 from pathlib import Path
@@ -118,3 +119,39 @@ def test_no_module_level_mutable_containers():
             if mutable and targets != ["__all__"]:
                 found.append(f"{name}:{node.lineno} {', '.join(targets)}")
     assert not found, f"module-level dict, list or set in src/gpktheory: {found}"
+
+
+def test_every_field_is_a_prime_field():
+    """A FieldSpec is GF(p) with p prime, so no module imports `fractions`
+    and no `.char` is read as a truth value: the test of an `if` or a
+    conditional expression, under `not`, in `and`/`or`, or in `bool(...)`.
+    Such a test would pick a branch for characteristic 0, which no
+    FieldSpec has."""
+
+    def is_char(node):
+        return isinstance(node, ast.Attribute) and node.attr == "char"
+
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            if "fractions" in modules:
+                found.append(f"{name}:{node.lineno} imports fractions")
+            if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                tested = [node.test]
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                tested = [node.operand]
+            elif isinstance(node, ast.BoolOp):
+                tested = node.values
+            elif isinstance(node, ast.Call) and _names(node.func) == {"bool"}:
+                tested = node.args
+            else:
+                tested = []
+            if any(map(is_char, tested)):
+                found.append(f"{name}:{node.lineno} tests .char for truth")
+    assert not found, f"a rational-field branch in src/gpktheory: {found}"
