@@ -17,10 +17,14 @@ say `regular` (the algebra over itself) or give explicit components:
     leftmap <arrow> <v> : <row> ; <row> ...
     rightmap <u> <arrow> : <row> ; <row> ...
 
+The option keys are those of OPTION_KEYS; a flag of the same name
+(--max-len, ...) overrides the file.
+
 Commands emit a human-readable report by default and a schema-stable JSON
 object with --json; the exit code is 0 on success, 2 when a verdict is
-Unknown, and 1 on errors: bad input, or an internal error reported as
-one "error: internal <Type>: <message>" line.
+Unknown, and 1 on errors: bad input, a command line argparse rejects
+included, reported as one "error: <message>" line, or an internal error
+reported as one "error: internal <Type>: <message>" line.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ from .rep import Representation
 from .waldhausen import build_wdata, k0_oracle
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# the keys an `option` line may set, with their defaults (dim_cap None:
+# gp_catalog picks one from the algebra's dimension)
+OPTION_KEYS = ("max_len", "dim_cap", "iter_cap", "seed", "depth")
+_OPTION_DEFAULTS = (12, None, 32, 0, 2)
 
 
 class CliError(Exception):
@@ -200,6 +209,12 @@ def parse(text: str) -> AlgebraFile:
                 raise CliError(
                     f"line {lineno}: expected 'option <key> <int>'", lineno
                 )
+            if parts[1] not in OPTION_KEYS:
+                raise CliError(
+                    f"line {lineno}: unknown option '{parts[1]}' "
+                    f"(accepted: {', '.join(OPTION_KEYS)})",
+                    lineno,
+                )
             try:
                 options[parts[1]] = int(parts[2])
             except ValueError:
@@ -278,25 +293,22 @@ def _override_field(af: AlgebraFile, args):
 
 
 def build_from_file(af: AlgebraFile, args) -> FiniteDimAlgebra:
-    opts = dict(af.options)
     _override_field(af, args)
-    if args.max_len is not None:
-        opts["max_len"] = args.max_len
     try:
         return build_algebra(
-            af.quiver, af.relations, af.field, max_len=opts.get("max_len", 12)
+            af.quiver, af.relations, af.field, max_len=_caps(af, args)["max_len"]
         )
     except (InvalidRelation, NotAdmissibleWithinBound) as e:
         raise CliError(f"{af.name}: {e}")
 
 
-def _caps(af: AlgebraFile, args):
-    opts = dict(af.options)
-    dim_cap = args.dim_cap if args.dim_cap is not None else opts.get("dim_cap")
-    iter_cap = args.iter_cap if args.iter_cap is not None else opts.get("iter_cap", 32)
-    seed = args.seed if args.seed is not None else opts.get("seed", 0)
-    depth = args.depth if args.depth is not None else opts.get("depth", 2)
-    return dim_cap, iter_cap, seed, depth
+def _caps(af: AlgebraFile, args) -> dict:
+    """Each of OPTION_KEYS: the flag's value, else the file's option, else
+    its default."""
+    return {
+        key: af.options.get(key, default) if getattr(args, key) is None else getattr(args, key)
+        for key, default in zip(OPTION_KEYS, _OPTION_DEFAULTS)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +463,10 @@ def _group_json(g):
 
 def _analyze_bundle(af, a, args):
     """The analyze report of one algebra, and the side invariants behind it."""
-    dim_cap, iter_cap, seed, _ = _caps(af, args)
-    side = side_invariants(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
+    caps = _caps(af, args)
+    side = side_invariants(
+        a, dim_cap=caps["dim_cap"], iter_cap=caps["iter_cap"], seed=caps["seed"]
+    )
     cat = side.catalog
     out = {
         "algebra": _algebra_json(af, a),
@@ -526,9 +540,10 @@ def _cataloged(args):
     out), out holding the algebra and the catalog's notes."""
     af = load_algebra_file(args.file)
     a = build_from_file(af, args)
-    dim_cap, iter_cap, seed, depth = _caps(af, args)
-    cat = gp_catalog(a, dim_cap=dim_cap, iter_cap=iter_cap, seed=seed)
-    return af, a, cat, depth, {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
+    caps = _caps(af, args)
+    cat = gp_catalog(a, dim_cap=caps["dim_cap"], iter_cap=caps["iter_cap"], seed=caps["seed"])
+    out = {"algebra": _algebra_json(af, a), "warnings": list(cat.notes)}
+    return af, a, cat, caps["depth"], out
 
 
 def _not_computed(out, keys, command):
@@ -659,11 +674,20 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError, so a bad command
+    line ends in one `error:` line with exit 1 (argparse would print the
+    usage and exit 2, the code of Unknown); --help still exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The `gpk` parser, built once per process; each parse_args call
     still returns a fresh Namespace."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gpk",
         description="Gorenstein projective catalogs and stable K-groups "
         "of path algebras with admissible relations.",
@@ -691,8 +715,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         out, lines, code = args.fn(args)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

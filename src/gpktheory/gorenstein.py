@@ -227,7 +227,11 @@ def gp_catalog(
     to Unknown.  Ext^1 spaces of more than one line that are too large to
     list are sampled from `seed`, with a note, and the verdict is then
     Unknown too: the catalog may miss a summand of an unsampled class.
+    A cap below 1 raises ValueError.
     """
+    for name, cap in (("dim_cap", dim_cap), ("iter_cap", iter_cap)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     if dim_cap is None:
         dim_cap = 64 * a.dim
     report = dimension_report(a)

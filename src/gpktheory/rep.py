@@ -875,8 +875,8 @@ def is_isomorphic(m: Representation, n: Representation):
     indecomposable m is not isomorphic to n: End(m) is local, so the maps
     m -> n that are not invertible form a proper subspace of Hom(m, n).
     A decomposable m is decided by Krull-Schmidt (`match_summands`), and
-    for equal summand multisets a miss of `_find_isomorphism` is a
-    CertificateError.  Memoized per algebra on both modules' bytes.
+    for equal summand multisets the witness is `assemble`d from `summands`.
+    Memoized per algebra on both modules' bytes.
     """
     if m.dim_vector != n.dim_vector:
         return False, None
@@ -887,9 +887,9 @@ def is_isomorphic(m: Representation, n: Representation):
         witness = next((b for b in hom_basis(m, n).basis if b.is_iso()), None)
         if witness is None and len(_decompose_rec(m)) > 1 and (
                 match_summands(decompose(m), decompose(n)) is not None):
-            witness = _find_isomorphism(m, n)
-            if witness is None:
-                raise CertificateError("equal summands but no isomorphism was found")
+            witness = assemble(m, n, summands(m), summands(n))[0].verify()
+            if not witness.is_iso():
+                raise CertificateError("map assembled from matched summands is not invertible")
         return None if witness is None else witness.blocks
 
     blocks = m.algebra.memo("is_isomorphic", (m.key(), n.key()), decide)
@@ -902,6 +902,43 @@ def _find_isomorphism(m: Representation, n: Representation):
     hs = hom_basis(m, n)
     coeffs, _ = coeff_vectors(m.field, hs.dim, tries=128)
     return next((g for g in map(hs.element, coeffs) if g.is_iso()), None)
+
+
+def summands(m: Representation):
+    """[(piece, inclusion, projection)]: the pieces of `_decompose_rec` with
+    their inclusions, and as projections the row blocks of the inverse, at
+    each vertex, of the inclusions side by side.  Inclusions that do not
+    split m raise CertificateError."""
+    parts = _decompose_rec(m)
+    projs = [{} for _ in parts]
+    for v in m.algebra.quiver.vertices if parts else ():
+        inv = exactla.invert(m.field, np.concatenate([i.blocks[v] for _, i in parts], axis=1))
+        if inv is None:
+            raise CertificateError("summand inclusions do not split the module")
+        for proj, rows in zip(projs, np.split(inv, np.cumsum([x.dims[v] for x, _ in parts]))):
+            proj[v] = rows
+    return [(x, incl, Morphism(m, x, proj)) for (x, incl), proj in zip(parts, projs)]
+
+
+def assemble(m: Representation, n: Representation, left, right):
+    """(f: m -> n, g: n -> m) from `summands` triples of m (left) and of n
+    (right): each piece x is paired with the first unused piece y that is
+    isomorphic to it, w: x -> y the `is_isomorphic` witness, and f sums
+    incl_y w proj_x, g sums incl_x w^-1 proj_y.  Callers certify f and g."""
+    f, g = zero_morphism(m, n), zero_morphism(n, m)
+    used = set()
+    for x, incl_x, proj_x in left:
+        for j, (y, incl_y, proj_y) in enumerate(right):
+            if j not in used:
+                ok, w = is_isomorphic(x, y)
+                if ok:
+                    break
+        else:
+            raise CertificateError("a summand has no isomorphic partner")
+        used.add(j)
+        f = f.add(incl_y.compose(w).compose(proj_x))
+        g = g.add(incl_x.compose(w.inverse()).compose(proj_y))
+    return f, g
 
 
 def match_summands(left, right):
@@ -933,7 +970,7 @@ def _invariant_battery(m: Representation):
 
 
 def _fitting_split(m: Representation, g: Morphism):
-    """Split m = ker(g^N) + im(g^N) when both parts are nonzero.
+    """Split m = ker(g^N) + im(g^N), as (part, inclusion) pairs, when both parts are nonzero.
 
     At each vertex v, g is squared up to the power N = 2^k >= d_v, where
     the kernel and image of the powers of a d_v x d_v matrix have settled.
@@ -949,9 +986,8 @@ def _fitting_split(m: Representation, g: Morphism):
     if ker_dim == 0 or ker_dim == m.total_dim:
         return None
     gm = Morphism(m, m, powered)
-    ker, _ = kernel_subrep(gm)
-    img, _ = image_subrep(gm)
-    if ker.total_dim + img.total_dim != m.total_dim:
+    ker, img = kernel_subrep(gm), image_subrep(gm)
+    if ker[0].total_dim + img[0].total_dim != m.total_dim:
         raise CertificateError("Fitting parts do not add up to the module")
     return ker, img
 
@@ -971,15 +1007,14 @@ def decompose(m: Representation):
     A noncommutative S means m is decomposable, and one search over End(m)
     finds the split: over every line when `coeff_vectors` is exhaustive,
     where the line of a nontrivial idempotent splits, otherwise over
-    seeded draws.  Pieces are memoized per algebra (`_decompose_rec`), so a
-    summand met again is not split again.
+    seeded draws.  Pieces and their inclusions are memoized per algebra
+    (`_decompose_rec`), so a summand met again is not split again.
     """
     if m.is_zero:
         return []
-    pieces = _decompose_rec(m)
     # group by isomorphy
     classes = []
-    for piece in pieces:
+    for piece, _ in _decompose_rec(m):
         for cls in classes:
             ok, _ = is_isomorphic(cls[0], piece)
             if ok:
@@ -992,21 +1027,24 @@ def decompose(m: Representation):
 
 
 def _decompose_rec(m: Representation):
-    """Indecomposable pieces of m, in split order, memoized per algebra on
-    the module's bytes.  Returns a fresh list on every call."""
+    """A fresh list of the indecomposable pieces of m in split order, each
+    with its inclusion into m, memoized per algebra on the module's bytes."""
     if m.is_zero:
         return []
-    return list(m.algebra.memo("decompose", m.key(), lambda: tuple(_split_pieces(m))))
+    stored = m.algebra.memo("decompose", m.key(), lambda: tuple(_split_pieces(m)))
+    return [(piece, Morphism(piece, m, dict(blocks))) for piece, blocks in stored]
 
 
 def _split_pieces(m: Representation):
-    """The uncached split of `_decompose_rec` for nonzero m."""
+    """The uncached split of `_decompose_rec` for nonzero m: (piece,
+    inclusion blocks) pairs."""
+    whole = [(m, identity_morphism(m).blocks)]
     if m.total_dim == 1:
-        return [m]
+        return whole
     f = m.field
     ends = hom_basis(m, m)
     if ends.dim == 1:
-        return [m]
+        return whole
     cands = [ends.element(c) for c in sampled_coeff_vectors(f, ends.dim, 0, 8)]
     lambdas = list(f.elements())
     split = _first_fitting_split(m, cands, lambdas)
@@ -1015,13 +1053,13 @@ def _split_pieces(m: Representation):
         end = _end_algebra(ends)
         rad = end.radical()
         if ends.dim - rad.shape[0] == 1:
-            return [m]  # S = GF(p)
+            return whole  # S = GF(p)
         s = end.quotient(rad)
         if s.is_commutative():
             # S is a product of fields, one per dimension of the Frobenius fixed space
             fixed = exactla.kernel(f, f.sub(s.frobenius(), f.eye(s.dim)))
             if fixed.shape[0] <= 1:
-                return [m]
+                return whole
             # a fixed vector outside the span of 1 lifts to a deterministic split
             lifted = f.zeros((len(fixed), ends.dim))
             lifted[:, s.basis_cols] = fixed
@@ -1038,8 +1076,11 @@ def _split_pieces(m: Representation):
                 raise (CertificateError if exhaustive else RuntimeError)(
                     "module is provably decomposable but no splitting was found"
                 )
-    a, b = split
-    return _decompose_rec(a) + _decompose_rec(b)
+    return [
+        (piece, incl.compose(inner).blocks)
+        for part, incl in split
+        for piece, inner in _decompose_rec(part)
+    ]
 
 
 # bytes a temporary of the stacked searches below may take

@@ -19,14 +19,14 @@ from .rep import (
     HomSpace,
     Morphism,
     Representation,
+    assemble,
     decompose,
-    direct_sum,
     hom_basis,
     identity_morphism,
-    is_isomorphic,
     is_projective,
     match_summands,
     projective_cover,
+    summands,
     zero_morphism,
 )
 
@@ -211,64 +211,20 @@ def _witness_search(m: Representation, n: Representation, seed: int):
     return None, exhaustive
 
 
-def _witness_from_pairing(m: Representation, n: Representation, pairing):
-    """Build explicit mutually inverse stable maps from matched summands."""
-    mparts = decompose(m)
-    nparts = decompose(n)
-    msum, minj, mprj = direct_sum(
-        [p for p, mult in mparts for _ in range(mult)]
-    )
-    nsum, ninj, nprj = direct_sum(
-        [p for p, mult in nparts for _ in range(mult)]
-    )
-    ok_m, iso_m = is_isomorphic(msum, m)
-    ok_n, iso_n = is_isomorphic(nsum, n)
-    if not (ok_m and ok_n):
-        raise CertificateError("a module is not isomorphic to the sum of its summands")
-
-    # positions of each summand class inside the flattened sum
-    def slots(parts):
-        out = {}
-        pos = 0
-        for p, mult in parts:
-            for _ in range(mult):
-                out.setdefault(p.key(), []).append(pos)
-                pos += 1
-        return out
-
-    mslots = slots(mparts)
-    nslots = slots(nparts)
-    f = None
-    g = None
-    for part, other, mult, wit in pairing:
-        for k in range(mult):
-            i = mslots[part.key()][k]
-            j = nslots[other.key()][k]
-            leg_f = ninj[j].compose(wit).compose(mprj[i])
-            leg_g = minj[i].compose(wit.inverse()).compose(nprj[j])
-            f = leg_f if f is None else f.add(leg_f)
-            g = leg_g if g is None else g.add(leg_g)
-    if f is None:
-        f = zero_morphism(msum, nsum)
-        g = zero_morphism(nsum, msum)
-    f_mn = iso_n.compose(f).compose(iso_m.inverse())
-    g_nm = iso_m.compose(g).compose(iso_n.inverse())
-    return f_mn, g_nm
-
-
 def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
     """(answer, witness): stable isomorphism of certified GP modules.
 
     Two independent routes are computed and must agree: a direct search for
     mutually inverse stable morphisms, and comparison of the modules after
     stripping projective summands.  The returned witness is a pair of
-    morphisms, stably inverse to each other.
+    morphisms, stably inverse to each other: the search's, or, when a
+    sampled search missed, the pair `assemble`d from the split maps of the
+    non-projective summands.
     """
     _require_gp(m)
     _require_gp(n)
     found, exhaustive = _witness_search(m, n, seed)
-    pairing = match_summands(_strip_projectives(m), _strip_projectives(n))
-    stripped_equal = pairing is not None
+    stripped_equal = match_summands(_strip_projectives(m), _strip_projectives(n)) is not None
     if found is not None:
         if not stripped_equal:
             raise RuntimeError(
@@ -282,8 +238,9 @@ def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
                 "stripped summands agree but exhaustive stable search found "
                 "no witness; invariant violated"
             )
-        # sampled search missed; construct the witness deterministically
-        f_mor, g_mor = _witness_from_pairing(m, n, pairing)
+        # sampled search missed: assemble the witness from the non-projective summands
+        left, right = ([s for s in summands(x) if not is_projective(s[0])] for x in (m, n))
+        f_mor, g_mor = assemble(m, n, left, right)
         if not _stably_inverse(f_mor, g_mor, _space_cache(m, m), _space_cache(n, n)):
             raise CertificateError("witness built from matched summands is not inverse")
         return True, (f_mor, g_mor)

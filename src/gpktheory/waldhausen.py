@@ -171,7 +171,10 @@ def _mult_tuples(caps):
 
 
 def build_wdata(catalog: GPCatalog, depth: int = 2) -> FiniteWaldhausenData:
-    """Enumerate objects and cofibrations at the given projective depth."""
+    """Enumerate objects and cofibrations at the given projective depth,
+    which must be at least 1."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if catalog.verdict == "Unknown":
         raise CatalogUnknown("catalog verdict is Unknown")
     a = catalog.algebra

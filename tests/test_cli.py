@@ -70,8 +70,9 @@ def test_parse_options_and_comments():
     af = parse(
         "# leading comment\nalgebra t over GF(2)  # trailing\nvertices 1\n"
         "arrow x : 1 -> 1\nrelation x*x = 0\noption max_len 9\noption seed 3\n"
+        "option dim_cap 4\noption iter_cap 5\noption depth 1\n"
     )
-    assert af.options == {"max_len": 9, "seed": 3}
+    assert af.options == {"max_len": 9, "seed": 3, "dim_cap": 4, "iter_cap": 5, "depth": 1}
 
 
 def test_parse_errors_name_the_line():
@@ -103,6 +104,8 @@ def test_parse_errors_name_the_line():
             "algebra t over GF(3)\nvertices 1\narrow x : 1 -> 1\n"
             "relation x*x = 0\noption seed zero\n"
         )
+    with pytest.raises(CliError, match="line 4: unknown option 'dimcap' .accepted: max_len, "):
+        parse("algebra t over GF(3)\nvertices 1\narrow x : 1 -> 1\noption dimcap 1\n")
     with pytest.raises(CliError, match="missing 'algebra"):
         parse("# nothing here\n")
     with pytest.raises(CliError, match="non-parallel"):
@@ -412,6 +415,41 @@ def test_max_len_below_the_nilpotency_degree_exits_one(max_len):
     assert expected in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "kx2.alg", "--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze", "kx2.alg", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    (["bogus", "kx2.alg"], "argument command: invalid choice: 'bogus'"),
+    (["oracle-k0", "kx2.alg", "--depth", "0"], "depth must be at least 1, got 0"),
+    (["oracle-k0", "kx2.alg", "--depth", "-1"], "depth must be at least 1, got -1"),
+    (["analyze", "kx2.alg", "--dim-cap", "0"], "dim_cap must be at least 1, got 0"),
+    (["k0", "kx2.alg", "--iter-cap", "0"], "iter_cap must be at least 1, got 0"),
+])
+def test_bad_command_lines_exit_one_with_one_line(argv, message):
+    """A command line argparse rejects and a cap below 1 are bad input:
+    one `error:` line and exit 1, never argparse's exit 2, which is the
+    code of Unknown, nor an answer from an empty object universe."""
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_unknown_option_key_exits_one():
+    path = tmp_file("algebra t over GF(3)\nvertices 1\narrow x : 1 -> 1\n"
+                    "relation x*x = 0\noption dimcap 1\n")
+    try:
+        code, out, err = run(["analyze", path])
+    finally:
+        os.unlink(path)
+    assert (code, out) == (1, "")
+    assert "line 5: unknown option 'dimcap'" in err and err.count("\n") == 1
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as exit_:
+        run(["analyze", "--help"])
+    assert exit_.value.code == 0
+
+
 def test_k0_of_a_catalog_closed_under_extensions():
     # k[x]/(x^4): the catalog holds k[x]/(x^i) for i = 1, 2, 3, and K0 = Z/4
     path = tmp_file(
@@ -485,6 +523,9 @@ def golden_cases():
         cases.append((f"semt-kx2-regular-field{p}", [
             "semt", "kx2.alg", "kx2.alg", "kx2_regular.bim", "kx2_regular.bim",
             "--json", "--field", str(p)]))
+    # bad input: one stderr line, exit 1
+    cases.append(("oracle-k0-kx2-depth0", ["oracle-k0", "kx2.alg", "--depth", "0"]))
+    cases.append(("analyze-kx2-bogus-flag", ["analyze", "kx2.alg", "--bogus"]))
     return cases
 
 

@@ -203,6 +203,12 @@ def test_dim_cap_forces_unknown():
     assert any("cap" in n for n in cat.notes)
 
 
+@pytest.mark.parametrize("caps", [{"dim_cap": 0}, {"iter_cap": 0}, {"dim_cap": -3}])
+def test_caps_below_one_raise(caps):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        gp_catalog(alg61a(), **caps)
+
+
 # ---------------------------------------------------------------------------
 # closure under extensions
 

@@ -73,7 +73,8 @@ def _summary(parts):
 
 
 def _keys(pieces):
-    return [piece.key() for piece in pieces]
+    """The piece keys of `_decompose_rec` output or of a `decompose` memo value."""
+    return [piece.key() for piece, _ in pieces]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -86,8 +87,11 @@ def test_memoized_answers_match_the_uncached_search(monkeypatch, name, p):
         ref = _uncached(monkeypatch, rep._decompose_rec, m)
         _forget(a)
         cold = rep._decompose_rec(m)
-        warm = rep._decompose_rec(_copy(m))
+        copy = _copy(m)
+        warm = rep._decompose_rec(copy)
         assert _keys(cold) == _keys(warm) == _keys(ref)
+        # a hit rebinds the stored inclusions to the caller's module
+        assert all(incl.domain is piece and incl.codomain is copy for piece, incl in warm)
     pieces = [piece for m in modules for piece, _ in decompose(m)]
     for x in pieces + modules:
         for y in pieces + modules:
@@ -137,7 +141,7 @@ def test_fresh_algebra_has_an_empty_memo_and_each_piece_is_stored_whole():
     stored = a._caches["decompose"]
     assert len(pieces) == 2 and m.key() in stored
     # the memo is keyed on bytes alone, so each piece is its own one piece
-    assert all(_keys(stored[piece.key()]) == [piece.key()] for piece in pieces)
+    assert all(_keys(stored[piece.key()]) == [piece.key()] for piece, _ in pieces)
     assert alg61a(FieldSpec(5))._caches == {}
 
 
@@ -145,9 +149,9 @@ def test_mutating_a_returned_list_leaves_the_memo_intact():
     a = alg62a(FieldSpec(3))
     m = direct_sum([projective(a, v) for v in a.quiver.vertices])[0]
     pieces = rep._decompose_rec(m)
-    keys = [piece.key() for piece in pieces]
+    keys = _keys(pieces)
     pieces.clear()
-    assert [piece.key() for piece in rep._decompose_rec(m)] == keys
+    assert _keys(rep._decompose_rec(m)) == keys
     parts = decompose(m)
     summary = _summary(parts)
     parts.pop()

@@ -7,7 +7,7 @@ import pytest
 
 from gpktheory import exactla, rep
 from gpktheory.exactla import CertificateError, FieldSpec
-from gpktheory.presentation import opposite
+from gpktheory.presentation import Quiver, build_algebra, opposite
 from gpktheory.rep import (
     HomSpace,
     cyclic_module,
@@ -341,10 +341,11 @@ def test_is_isomorphic_answers_do_not_depend_on_the_exhaustive_cap(monkeypatch, 
     assert got == want
 
 
-def test_a_search_miss_on_matched_summands_is_a_certificate_error(monkeypatch):
-    """With the witness search stubbed to miss, a decomposable pair whose
-    summands match and no hom basis map is invertible raises, where the
-    sampled search used to answer no; indecomposables keep their answers."""
+def test_matched_summands_are_witnessed_without_a_search(monkeypatch):
+    """With the sampled search stubbed to miss, a decomposable pair whose
+    summands match and no hom basis map is invertible answers yes, with the
+    witness assembled from the summands' split maps; indecomposables keep
+    their answers."""
     monkeypatch.setattr(rep, "_find_isomorphism", lambda m, n: None)
     a = alg61a(GF3)
     g = cyclic_module(a, a.element_from_str("b*a"))[0]
@@ -353,12 +354,55 @@ def test_a_search_miss_on_matched_summands_is_a_certificate_error(monkeypatch):
     m = direct_sum([p1, g])[0]
     for n in (twisted(m, Random(1)), direct_sum([g, p1])[0]):
         assert not any(b.is_iso() for b in hom_basis(m, n).basis)
-        with pytest.raises(CertificateError):
-            is_isomorphic(m, n)
+        ok, wit = is_isomorphic(m, n)
+        assert ok and wit.domain is m and wit.codomain is n
+        assert wit.verify().is_iso()
     assert not is_isomorphic(m, direct_sum([p1, split])[0])[0]  # summands differ
     rng = Random(2)
     pairs = [(g, twisted(g, rng)), (p1, twisted(p1, rng)), (g, split), (p1, direct_sum([g, g])[0])]
     assert [is_isomorphic(x, y)[0] for x, y in pairs] == [True, True, False, False]
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_squared_simples_of_an_arrowless_algebra_are_isomorphic(k):
+    """S_1^2 + ... + S_k^2 over the arrowless algebra on k vertices over
+    GF(2): End is M_2(GF(2))^k, of dimension 4k, whose invertible share
+    (6/16)^k is what 128 sampled draws had to hit (they missed at k = 5).
+    The witness assembled from the summands is an isomorphism."""
+    vertices = [str(i) for i in range(1, k + 1)]
+    a = build_algebra(Quiver.make(vertices, []), [], GF2)
+    m = direct_sum([simple(a, v) for v in vertices for _ in range(2)])[0]
+    assert hom_dim(m, m) == 4 * k
+    for n in (m, twisted(m, Random(k))):
+        ok, wit = is_isomorphic(m, n)
+        assert ok and wit.verify().is_iso()
+
+
+def test_summands_split_the_module_or_raise(monkeypatch):
+    """The projections of `summands` invert the inclusions: proj_i incl_j is
+    the identity for i = j and 0 otherwise, and the incl_i proj_i add up to
+    the identity.  An inclusion set that leaves out a piece, or takes one
+    twice, does not split m and raises."""
+    a = alg61a(GF3)
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    m = twisted(direct_sum([projective(a, "1"), g, g])[0], Random(4))
+    triples = rep.summands(m)
+    assert len(triples) == 3
+    total = rep.zero_morphism(m, m)
+    for i, (x, incl, proj) in enumerate(triples):
+        total = total.add(incl.compose(proj))
+        for j, (_, other, _) in enumerate(triples):
+            want = identity_morphism(x) if i == j else rep.zero_morphism(other.domain, x)
+            assert rep._morph_eq(proj.compose(other), want)
+    assert rep._morph_eq(total, identity_morphism(m))
+    parts = rep._decompose_rec(m)
+    gs = [part for part in parts if part[0].dim_vector == g.dim_vector]
+    others = [part for part in parts if part[0].dim_vector != g.dim_vector]
+    for bad in (parts[:2], others + [gs[0], gs[0]]):
+        with monkeypatch.context() as mp:
+            mp.setattr(rep, "_decompose_rec", lambda x, bad=bad: list(bad))
+            with pytest.raises(CertificateError, match="do not split"):
+                rep.summands(m)
 
 
 def test_is_isomorphic_at_a_large_prime_uses_only_the_hom_basis(monkeypatch):

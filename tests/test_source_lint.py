@@ -3,8 +3,9 @@
 exhaustive-or-sampled policy), per-algebra caches go through the one
 memo, README's module table names every memo site, no module assigns a
 dict, list or set at module level, each module-map primitive has one
-definition, in rep.py, and every field is GF(p): nothing imports
-`fractions` and no `.char` is read as a truth value."""
+definition, in rep.py, every field is GF(p): nothing imports
+`fractions` and no `.char` is read as a truth value, and only
+waldhausen.py uses the sampled isomorphism search."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,19 @@ def test_every_field_is_a_prime_field():
             if any(map(is_char, tested)):
                 found.append(f"{name}:{node.lineno} tests .char for truth")
     assert not found, f"a rational-field branch in src/gpktheory: {found}"
+
+
+def test_only_waldhausen_uses_the_sampled_isomorphism_search():
+    """`rep._find_isomorphism` samples Hom(m, n) past the exhaustive cap, so
+    a miss says nothing.  Apart from its definition only waldhausen.py
+    names it: `rep.is_isomorphic` and `stable.is_weakly_equivalent` build
+    their witnesses from the summands' split maps."""
+    name_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name != "waldhausen.py"
+        for node in ast.walk(tree)
+        if getattr(node, name_of.get(type(node), ""), None) == "_find_isomorphism"
+    ]
+    assert not found, f"_find_isomorphism referenced outside waldhausen.py: {found}"

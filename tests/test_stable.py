@@ -27,7 +27,7 @@ from gpktheory.stable import (
     _witness_search,
 )
 
-from builders import alg61a, alg61b, every_coeff_vector, loop_square_zero
+from builders import alg61a, alg61b, every_coeff_vector, loop_square_zero, nakayama
 
 GF3 = FieldSpec(3)
 
@@ -150,6 +150,20 @@ def test_random_pairs_agree_with_stripping():
         expected = sum(1 for r in left if r is g) == sum(1 for r in right if r is g)
         got, _ = is_weakly_equivalent(x, y, seed=3)
         assert got == expected
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_squared_simples_of_a_nakayama_algebra_are_weakly_equivalent(k):
+    """S_1^2 + ... + S_k^2 over the radical-square-zero Nakayama algebra on
+    the k-cycle over GF(2): the stable End has dimension 4k, past the
+    exhaustive search, and when the sampled search misses, the witness is
+    assembled from the non-projective summands; either way it is stably
+    inverse."""
+    a = nakayama(FieldSpec(2), n=k, length=2)
+    m = direct_sum([simple(a, v) for v in a.quiver.vertices for _ in range(2)])[0]
+    assert stable_hom(m, m)[0] == 4 * k
+    ok, (f, g) = is_weakly_equivalent(m, m)
+    assert ok and stable._stably_inverse(f, g, _space_cache(m, m), _space_cache(m, m))
 
 
 def test_witness_line_search_matches_full_enumeration(monkeypatch):

@@ -247,6 +247,15 @@ def test_unknown_catalog_rejected():
         raise AssertionError("Unknown catalog must be rejected")
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_raises(depth):
+    """At depth 0 the universe holds no projective, and the oracle K0 of
+    k[x]/(x^2) came out Z against the catalog's Z/2: bad input, not a
+    verdict."""
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        build_wdata(gp_catalog(loop_square_zero()), depth=depth)
+
+
 def test_summand_missing_from_the_catalog_is_a_certificate_error():
     # a GP summand outside the catalog means the catalog is not closed
     a = loop_square_zero(GF2)
