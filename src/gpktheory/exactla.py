@@ -218,13 +218,14 @@ def _rref_fp(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        piv = int(a[r, c])
+        if piv != 1:
+            a[r] = (a[r] * pow(piv, p - 2, p)) % p
+        # eliminate only in the other rows that are nonzero in column c
+        rows = np.flatnonzero(a[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - a[rows, c, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots

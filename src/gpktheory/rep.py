@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -475,15 +476,24 @@ class HomSpace:
             for v in self.domain.algebra.quiver.vertices
         }
 
-    def element(self, coeffs) -> Morphism:
-        """sum_i coeffs[i] basis[i]: one product with the stacked basis per vertex."""
+    def stack(self, coeffs) -> dict:
+        """{v: (N, n_v, m_v)}: per vertex, the blocks of the maps sum_i
+        c[i] basis[i] for the N rows c of coeffs, by one product with the
+        stacked basis.  With an empty basis the zero map is the one map."""
+        n, m = self.codomain.dims, self.domain.dims
         if not self.basis:
-            return zero_morphism(self.domain, self.codomain)
+            return {v: np.zeros((1, n[v], m[v]), dtype=np.int64) for v in m}
         f = self.domain.field
-        c = f.array([f.canon(x) for x in coeffs]).reshape(-1)
-        return Morphism(self.domain, self.codomain, {
-            v: f.matmul(c, rows).reshape(self.codomain.dims[v], self.domain.dims[v])
+        c = np.asarray(coeffs, dtype=np.int64).reshape(-1, self.dim) % f.char
+        return {
+            v: f.matmul(c, rows).reshape(len(c), n[v], m[v])
             for v, rows in self._stacked.items()
+        }
+
+    def element(self, coeffs) -> Morphism:
+        """sum_i coeffs[i] basis[i]: the one row of `stack`."""
+        return Morphism(self.domain, self.codomain, {
+            v: b[0] for v, b in self.stack([coeffs]).items()
         })
 
     @cached_property
@@ -546,16 +556,21 @@ def _hom_system(m: Representation, n: Representation):
         if nr == 0:
             continue
         block = f.zeros((nr, total))
+        # the kron products are written into 4-d views (copy=False raises
+        # rather than copy) of their column ranges: row (i, k) is entry
+        # (i, k) of F_w M_a - N_a F_u, column (j, l) entry (j, l) of F_w or F_u
         # F_w M_a: (I_{n_w} kron M_a^T) vec(F_w)
         if sizes[w]:
-            kron1 = np.kron(f.eye(n.dims[w]), m.maps[arw.label].T)
-            block[:, offs[w] : offs[w] + sizes[w]] = kron1
+            view = block[:, offs[w] : offs[w] + sizes[w]].reshape(
+                (n.dims[w], m.dims[u], n.dims[w], m.dims[w]), copy=False)
+            diag = np.arange(n.dims[w])
+            view[diag, :, diag, :] = m.maps[arw.label].T
         # N_a F_u: (N_a kron I_{m_u}) vec(F_u)
         if sizes[u]:
-            kron2 = np.kron(n.maps[arw.label], f.eye(m.dims[u]))
-            block[:, offs[u] : offs[u] + sizes[u]] = f.sub(
-                block[:, offs[u] : offs[u] + sizes[u]], kron2
-            )
+            view = block[:, offs[u] : offs[u] + sizes[u]].reshape(
+                (n.dims[w], m.dims[u], n.dims[u], m.dims[u]), copy=False)
+            diag = np.arange(m.dims[u])
+            view[:, diag, :, diag] -= n.maps[arw.label]
         rows.append(block % f.char)
     if not rows:
         return f.zeros((0, total)), total
@@ -885,8 +900,8 @@ def is_isomorphic(m: Representation, n: Representation):
 
     def decide():
         witness = next((b for b in hom_basis(m, n).basis if b.is_iso()), None)
-        if witness is None and len(_decompose_rec(m)) > 1 and (
-                match_summands(decompose(m), decompose(n)) is not None):
+        if witness is None and len(_decompose_rec(m)) > 1 and match_summands(
+                decompose(m), decompose(n)):
             witness = assemble(m, n, summands(m), summands(n))[0].verify()
             if not witness.is_iso():
                 raise CertificateError("map assembled from matched summands is not invertible")
@@ -898,10 +913,55 @@ def is_isomorphic(m: Representation, n: Representation):
 
 def _find_isomorphism(m: Representation, n: Representation):
     """An invertible map m -> n or None, searched over one vector per line
-    of Hom(m, n) when that is exhaustive, else the basis and 128 draws."""
+    of Hom(m, n) when that is exhaustive, else the basis and 128 draws.
+
+    The candidates go in batches (`_coeff_batches`).  Per batch, `HomSpace.stack`
+    builds their blocks and one stacked rank test per vertex drops the
+    candidates that are not invertible there, so the first survivor is
+    the first hit of a candidate-by-candidate search.  That hit is rebuilt
+    by `HomSpace.element` and certified by `is_iso`.  Different dimension
+    vectors and Hom(m, n) = 0 give None at once.
+    """
+    if m.dim_vector != n.dim_vector:
+        return None
     hs = hom_basis(m, n)
-    coeffs, _ = coeff_vectors(m.field, hs.dim, tries=128)
-    return next((g for g in map(hs.element, coeffs) if g.is_iso()), None)
+    if hs.dim == 0:
+        return None
+    f = m.field
+    coeffs, exhaustive = coeff_vectors(f, hs.dim, tries=128)
+    for batch in _coeff_batches(coeffs, exhaustive, hs.dim):
+        stacks = hs.stack(batch)
+        alive = np.arange(len(batch))
+        for v, d in m.dims.items():
+            if d and alive.size:
+                alive = alive[exactla.rank_stack(f, stacks[v][alive]) == d]
+        if alive.size:
+            hit = hs.element(batch[alive[0]])
+            if not hit.is_iso():
+                raise CertificateError("the stacked rank test passed a map that is not invertible")
+            return hit
+    return None
+
+
+def _coeff_batches(coeffs, exhaustive: bool, h: int):
+    """The rows of `coeff_vectors(f, h)` as int64 arrays, in batches that
+    grow fourfold.  Exhaustive: slices of the array, from 16 rows.  Sampled:
+    the h unit vectors as one batch, then the draws from 8 on, taken
+    lazily, as each draw costs h calls to `randrange` and a hit usually
+    comes early."""
+    if exhaustive:
+        rows = np.asarray(coeffs, dtype=np.int64)
+        at, size = 0, 16
+        while at < len(rows):
+            yield rows[at : at + size]
+            at, size = at + size, 4 * size
+        return
+    draws = iter(coeffs)
+    yield np.array(list(islice(draws, h)), dtype=np.int64)
+    size = 8
+    while batch := list(islice(draws, size)):
+        yield np.array(batch, dtype=np.int64)
+        size *= 4
 
 
 def summands(m: Representation):
@@ -941,25 +1001,21 @@ def assemble(m: Representation, n: Representation, left, right):
     return f, g
 
 
-def match_summands(left, right):
-    """[(x, y, multiplicity, witness x -> y)] pairing two summand multisets
-    as `decompose` returns them, or None when they differ (Krull-Schmidt)."""
+def match_summands(left, right) -> bool:
+    """Whether two summand multisets, as `decompose` returns them, are
+    equal: each class of left pairs with an unused class of right of the
+    same multiplicity and an isomorphic module (Krull-Schmidt)."""
     if len(left) != len(right):
-        return None
-    pairing = []
+        return False
     used = [False] * len(right)
     for part, mult in left:
         for j, (other, omult) in enumerate(right):
-            if used[j] or mult != omult:
-                continue
-            ok, wit = is_isomorphic(part, other)
-            if ok:
+            if not used[j] and mult == omult and is_isomorphic(part, other)[0]:
                 used[j] = True
-                pairing.append((part, other, mult, wit))
                 break
         else:
-            return None
-    return pairing
+            return False
+    return True
 
 
 def _invariant_battery(m: Representation):

@@ -224,7 +224,7 @@ def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
     _require_gp(m)
     _require_gp(n)
     found, exhaustive = _witness_search(m, n, seed)
-    stripped_equal = match_summands(_strip_projectives(m), _strip_projectives(n)) is not None
+    stripped_equal = match_summands(_strip_projectives(m), _strip_projectives(n))
     if found is not None:
         if not stripped_equal:
             raise RuntimeError(

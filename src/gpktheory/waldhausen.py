@@ -260,18 +260,9 @@ def _exhaustive_cofibrations(data, x: WObject, y: WObject, h: int):
     hs = hom_basis(x.rep, y.rep)
     if hs.dim != h:
         raise CertificateError("hom dimension differs from the part-level table")
-    coeff_mat, _ = coeff_vectors(f, h)
     # all candidate blocks at once: (num_candidates, n_v, m_v) per vertex;
     # with h == 0 the zero map is the only candidate
-    stacks = {}
-    for v in verts:
-        if h:
-            tensor = np.stack([b.blocks[v] for b in hs.basis])
-            stacks[v] = np.tensordot(coeff_mat, tensor, axes=(1, 0)) % p
-        else:
-            stacks[v] = np.zeros(
-                (1, y.rep.dims[v], x.rep.dims[v]), dtype=np.int64
-            )
+    stacks = hs.stack(coeff_vectors(f, h)[0])
     # one elimination per vertex on the transposed blocks gives each
     # candidate's rank (mono iff it equals dim x_v) and its image's RREF
     mono = np.ones(len(stacks[verts[0]]), dtype=bool)

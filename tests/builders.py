@@ -165,6 +165,23 @@ def every_coeff_vector(f, n, **_):
     return [v for v in all_coeff_vectors(f.char, n) if any(v)], True
 
 
+def reference_find_isomorphism(m, n):
+    """(index, map): the isomorphism search one candidate at a time, as
+    rep._find_isomorphism ran before it tested them in batches: the first
+    row of `coeff_vectors(f, dim Hom(m, n), tries=128)` whose map passes
+    `is_iso`, with its index, or (None, None)."""
+    from gpktheory.exactla import coeff_vectors
+    from gpktheory.rep import hom_basis
+
+    hs = hom_basis(m, n)
+    coeffs, _ = coeff_vectors(m.field, hs.dim, tries=128)
+    for i, c in enumerate(coeffs):
+        g = hs.element(c)
+        if g.is_iso():
+            return i, g
+    return None, None
+
+
 def reference_k0_harvest(a, catalog):
     """The K0 relation harvest as it ran apart from the catalog, kept as a
     reference for the rows gp_catalog records.

@@ -76,6 +76,54 @@ def test_rref_canonical_and_idempotent():
             assert col[i] == 1 and (np.delete(col, i) == 0).all()
 
 
+def _rref_outer_loop(a, p):
+    """`_rref_fp` as it was written with a masked np.outer update on every
+    row: the reference for its leaner pivot step."""
+    a = a.astype(np.int64) % p
+    nrows, ncols = a.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_rref_matches_the_outer_product_loop(p):
+    """Row for row and pivot for pivot on seeded tall, wide, low-rank,
+    all-zero and full-rank matrices."""
+    f = FieldSpec(p)
+    rng = Random(f"rref/{p}")
+    cases = [f.zeros((4, 6)), f.zeros((1, 1)), f.eye(5), (p - 1) * f.eye(4)]
+    for shape in [(9, 3), (3, 9), (6, 6), (12, 7), (1, 8)]:
+        cases += [random_matrix(f, rng, shape) for _ in range(4)]
+        low = f.matmul(random_matrix(f, rng, (shape[0], 2)), random_matrix(f, rng, (2, shape[1])))
+        cases.append(low)
+    while rank_of(f, cases[-1]) < 6:
+        cases.append(random_matrix(f, rng, (6, 6)))  # until one has full rank
+    for a in cases:
+        rows, pivots = exactla._rref_fp(a, p)
+        want_rows, want_pivots = _rref_outer_loop(a, p)
+        assert pivots == want_pivots
+        assert rows.dtype == want_rows.dtype and (rows == want_rows).all()
+
+
 def test_row_space_key_ignores_row_operations():
     rng = Random(1)
     for _ in range(25):

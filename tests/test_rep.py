@@ -5,8 +5,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from gpktheory import exactla, rep
-from gpktheory.exactla import CertificateError, FieldSpec
+from gpktheory import exactla, rep, waldhausen
+from gpktheory.exactla import CertificateError, FieldSpec, is_exhaustive
+from gpktheory.gorenstein import gp_catalog
 from gpktheory.presentation import Quiver, build_algebra, opposite
 from gpktheory.rep import (
     HomSpace,
@@ -46,6 +47,7 @@ from builders import (
     every_coeff_vector,
     loop_square_zero,
     reference_direct_sum_blocks,
+    reference_find_isomorphism,
     reference_hom_element,
     reference_induced_pushout_map,
     reference_middle_term,
@@ -325,6 +327,77 @@ def _iso_pairs(p):
     return pairs
 
 
+def _kronecker_pair(f):
+    """Two regular modules k => k of the Kronecker quiver, a = 1 and b = 1
+    or 2: equal dimension vectors, Hom = 0 between them."""
+    a = build_algebra(Quiver.make(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], f)
+    dims = {"1": 1, "2": 1}
+    return [Representation(a, dims, {"a": [[1]], "b": [[lam]]}) for lam in (1, 2)]
+
+
+def _same_search(m, n):
+    """`_find_isomorphism` against the per-candidate loop: equal witness
+    blocks, or both None.  Returns the loop's hit index."""
+    got = rep._find_isomorphism(m, n)
+    at, want = reference_find_isomorphism(m, n)
+    assert (got is None) == (want is None)
+    if want is not None:
+        _same_blocks(got, want)
+    return at
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batched_isomorphism_search_finds_the_first_hit(p):
+    """The batched search gives the per-candidate loop's first hit, or
+    None with it: on the exhaustive and the sampled branch, on hits and
+    misses, for Hom = 0 and for different dimension vectors."""
+    f = FieldSpec(p)
+    pairs = _iso_pairs(p)
+    x, y = _kronecker_pair(f)
+    a = alg61a(f)
+    pairs += [(x, y), (projective(a, "1"), simple(a, "2")), (simple(a, "1"), simple(a, "2"))]
+    assert hom_dim(x, y) == 0
+    kinds = set()
+    for m, n in pairs:
+        at = _same_search(m, n)
+        kinds.add((is_exhaustive(f, hom_dim(m, n)), at is not None))
+    assert {(True, True), (True, False)} <= kinds
+    if p >= 5:
+        assert (False, True) in kinds and (False, False) in kinds
+
+
+def test_batched_isomorphism_search_hits_past_the_first_batch(monkeypatch):
+    """Every search of the oracle on 62A over GF(3) at depth 1 gives the
+    per-candidate loop's hit.  The 3-summand cokernel of dimension
+    (2, 3, 3), with a 7-dimensional Hom, hits at candidate 617, in the
+    fourth batch."""
+    seen = []
+
+    def record(m, n):
+        seen.append((m, n))
+        return rep._find_isomorphism(m, n)
+
+    monkeypatch.setattr(waldhausen, "_find_isomorphism", record)
+    waldhausen.build_wdata(gp_catalog(alg62a(GF3)), depth=1)
+    hits = [(_same_search(m, n), m.dim_vector, hom_dim(m, n)) for m, n in seen]
+    assert len(hits) > 1 and all(at is not None for at, _, _ in hits)
+    last = max(hits)
+    assert last == (616, (2, 3, 3), 7)
+    assert sum(16 * 4**k for k in range(3)) <= last[0]
+
+
+def test_batched_isomorphism_search_certifies_its_hit(monkeypatch):
+    """A stacked rank test that reports full rank passes the first
+    candidate; `is_iso` rejects it and the search raises."""
+    a = alg61a(GF3)
+    g = cyclic_module(a, a.element_from_str("b*a"))[0]
+    split = Representation(a, {"1": 1, "2": 1}, {"a": [[0]], "b": [[0]]})
+    assert hom_dim(g, split) > 0 and not is_isomorphic(g, split)[0]
+    monkeypatch.setattr(exactla, "rank_stack", lambda f, s: np.full(len(s), s.shape[1]))
+    with pytest.raises(CertificateError, match="not invertible"):
+        rep._find_isomorphism(g, split)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_is_isomorphic_answers_do_not_depend_on_the_exhaustive_cap(monkeypatch, p):
     """With EXHAUSTIVE_CAP = 1 every search is sampled; a negative comes from
@@ -454,6 +527,55 @@ def test_hom_basis_deterministic():
             assert (b1.blocks[v] == b2.blocks[v]).all()
 
 
+def _kron_hom_system(m, n):
+    """`rep._hom_system` as written with np.kron: per arrow a: u -> w, the
+    rows (I_{n_w} kron M_a^T) vec(F_w) - (N_a kron I_{m_u}) vec(F_u)."""
+    f = m.field
+    verts = m.algebra.quiver.vertices
+    sizes = {v: n.dims[v] * m.dims[v] for v in verts}
+    offs = dict(zip(verts, np.cumsum([0] + [sizes[v] for v in verts])))
+    total = sum(sizes.values())
+    rows = []
+    for arw in m.algebra.quiver.arrows:
+        u, w = arw.source, arw.target
+        nr = n.dims[w] * m.dims[u]
+        if nr == 0:
+            continue
+        block = f.zeros((nr, total))
+        if sizes[w]:
+            block[:, offs[w] : offs[w] + sizes[w]] = np.kron(f.eye(n.dims[w]), m.maps[arw.label].T)
+        if sizes[u]:
+            block[:, offs[u] : offs[u] + sizes[u]] = f.sub(
+                block[:, offs[u] : offs[u] + sizes[u]],
+                np.kron(n.maps[arw.label], f.eye(m.dims[u])),
+            )
+        rows.append(block % f.char)
+    if not rows:
+        return f.zeros((0, total)), total
+    return np.concatenate(rows, axis=0), total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hom_system_matches_the_kron_formula(p):
+    """The view-filled system equals the kron one byte for byte, on
+    modules with zero-dimensional vertices and on algebras with loops."""
+    f = FieldSpec(p)
+    rng = Random(f"hom-system/{p}")
+    checked = 0
+    for a in (alg61a(f), alg61b(f), alg62a(f), loop_square_zero(f)):
+        verts = a.quiver.vertices
+        mods = [simple(a, v) for v in verts] + [projective(a, v) for v in verts]
+        mods += [twisted(direct_sum(mods[-2:] + mods[:1])[0], rng), zero_rep(a)]
+        for m in mods:
+            for n in mods:
+                got, total = rep._hom_system(m, n)
+                want, want_total = _kron_hom_system(m, n)
+                assert total == want_total and got.dtype == want.dtype
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                checked += got.size > 0
+    assert checked > 50
+
+
 def test_zero_module_edges():
     a = alg61a()
     z = zero_rep(a)
@@ -574,6 +696,18 @@ def test_hom_element_matches_scale_and_add_loop(field):
                 assert got.blocks[v].dtype == want.blocks[v].dtype
                 assert got.blocks[v].shape == want.blocks[v].shape
                 assert (got.blocks[v] == want.blocks[v]).all()
+        # a stack of maps: the tensor contraction the cofibration search took
+        # before, and with no basis the zero map alone
+        rows = np.array([[field.random_scalar(rng) for _ in range(hs.dim)] for _ in range(6)],
+                        dtype=np.int64).reshape(6, hs.dim)
+        for v, got in hs.stack(rows).items():
+            if hs.dim:
+                basis = np.stack([b.blocks[v] for b in hs.basis])
+                want = np.tensordot(rows, basis, axes=(1, 0)) % field.char
+            else:
+                want = np.zeros((1, hs.codomain.dims[v], hs.domain.dims[v]), dtype=np.int64)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
 
 
 def _entries(a):

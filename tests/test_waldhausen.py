@@ -17,6 +17,7 @@ from builders import (
     cached_wdata,
     loop_square_zero,
     random_matrix,
+    reference_find_isomorphism,
     semisimple_two,
 )
 from gpktheory import exactla, waldhausen
@@ -373,6 +374,19 @@ def test_line_search_matches_full_enumeration(monkeypatch):
             ref = build_wdata(catalog, depth=1)
         assert _cofibration_rows(fast) == _cofibration_rows(ref)
         assert fast.notes == ref.notes
+
+
+def test_batched_isomorphism_search_keeps_the_cofibrations(monkeypatch):
+    """The oracle on 62A over GF(3) at depth 1 lists the same cofibrations,
+    classes and notes with the per-candidate isomorphism search in place of
+    the batched one; fresh algebras keep the memos apart."""
+    fast = build_wdata(gp_catalog(alg62a(FieldSpec(3))), depth=1)
+    monkeypatch.setattr(
+        waldhausen, "_find_isomorphism", lambda m, n: reference_find_isomorphism(m, n)[1]
+    )
+    ref = build_wdata(gp_catalog(alg62a(FieldSpec(3))), depth=1)
+    assert _cofibration_rows(fast) == _cofibration_rows(ref)
+    assert fast.classes == ref.classes and fast.notes == ref.notes
 
 
 def test_verify_exact_rejects_non_exact_pairs():
