@@ -891,8 +891,11 @@ def is_isomorphic(m: Representation, n: Representation):
     m -> n that are not invertible form a proper subspace of Hom(m, n).
     A decomposable m is decided by Krull-Schmidt (`match_summands`), and
     for equal summand multisets the witness is `assemble`d from `summands`.
-    Memoized per algebra on both modules' bytes.
+    Memoized per algebra on both modules' bytes.  Modules over different
+    algebras raise ValueError.
     """
+    if m.algebra is not n.algebra:
+        raise ValueError("modules over different algebras")
     if m.dim_vector != n.dim_vector:
         return False, None
     if m.is_zero:

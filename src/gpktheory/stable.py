@@ -4,19 +4,21 @@ and stable endomorphism algebras.
 A morphism is stably zero when it factors through a projective; factoring is
 decided against the projective cover of the codomain (any map from a
 projective lifts along the cover epi, so the cover suffices).
+
+Weak equivalences are decided by Krull-Schmidt on the non-projective
+summands, which `decompose` certifies, and witnessed by maps assembled from
+their split maps; no search over the stable Hom is made.
 """
 
 import copy
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import exactla
-from .exactla import CertificateError, coeff_vectors
+from .exactla import CertificateError
 from .gorenstein import certify_gp
 from .rep import (
-    HomSpace,
     Morphism,
     Representation,
     assemble,
@@ -29,8 +31,6 @@ from .rep import (
     summands,
     zero_morphism,
 )
-
-RANDOM_TRIES = 64
 
 
 class NotGPInput(Exception):
@@ -184,67 +184,28 @@ def _stably_inverse(f_mor: Morphism, g_mor: Morphism, end_m: StableHomSpace, end
     return end_m.is_stably_zero(left) and end_n.is_stably_zero(right)
 
 
-def _witness_search(m: Representation, n: Representation, seed: int):
-    """Search for mutually inverse stable morphisms.  Returns
-    (witness pair or None, search_was_exhaustive).
-
-    Stable invertibility of f depends only on its stable class, so the
-    search runs over one coset representative per class of the stable Hom
-    space; quotient-level exhaustion is therefore genuinely complete.
-    """
-    fwd = _space_cache(m, n)
-    back = _space_cache(n, m)
-    end_m = _space_cache(m, m)
-    end_n = _space_cache(n, n)
-    e = fwd.dim
-    if e == 0:
-        g = _solve_stable_inverse(zero_morphism(m, n), end_m, end_n, back)
-        return ((zero_morphism(m, n), g) if g is not None else None), True
-    coset = HomSpace(m, n, tuple(fwd.coset_basis()))
-    # exhaustive: f and c*f (c != 0) are stably invertible together, so the
-    # zero map plus one vector per line covers every class
-    coeffs, exhaustive = coeff_vectors(m.field, e, seed=seed, tries=RANDOM_TRIES)
-    for cand in chain([zero_morphism(m, n)], map(coset.element, coeffs)):
-        g = _solve_stable_inverse(cand, end_m, end_n, back)
-        if g is not None:
-            return (cand, g), exhaustive
-    return None, exhaustive
-
-
 def is_weakly_equivalent(m: Representation, n: Representation, seed: int = 0):
     """(answer, witness): stable isomorphism of certified GP modules.
 
-    Two independent routes are computed and must agree: a direct search for
-    mutually inverse stable morphisms, and comparison of the modules after
-    stripping projective summands.  The returned witness is a pair of
-    morphisms, stably inverse to each other: the search's, or, when a
-    sampled search missed, the pair `assemble`d from the split maps of the
-    non-projective summands.
+    Decided by Krull-Schmidt: m and n are stably isomorphic exactly when
+    their non-projective indecomposable summands match (`match_summands`
+    of the `_strip_projectives` lists), and every decomposition is
+    certified, so a negative answer rests on no search.  For matching
+    summands the witness is the pair `assemble`d from the split maps of
+    the non-projective `summands`, certified stably inverse.  `seed` is
+    unused; it is kept for callers that pass it.
     """
+    if m.algebra is not n.algebra:
+        raise ValueError("modules over different algebras")
     _require_gp(m)
     _require_gp(n)
-    found, exhaustive = _witness_search(m, n, seed)
-    stripped_equal = match_summands(_strip_projectives(m), _strip_projectives(n))
-    if found is not None:
-        if not stripped_equal:
-            raise RuntimeError(
-                "stable witness exists but stripped summands differ; "
-                "invariant violated"
-            )
-        return True, found
-    if stripped_equal:
-        if exhaustive:
-            raise RuntimeError(
-                "stripped summands agree but exhaustive stable search found "
-                "no witness; invariant violated"
-            )
-        # sampled search missed: assemble the witness from the non-projective summands
-        left, right = ([s for s in summands(x) if not is_projective(s[0])] for x in (m, n))
-        f_mor, g_mor = assemble(m, n, left, right)
-        if not _stably_inverse(f_mor, g_mor, _space_cache(m, m), _space_cache(n, n)):
-            raise CertificateError("witness built from matched summands is not inverse")
-        return True, (f_mor, g_mor)
-    return False, None
+    if not match_summands(_strip_projectives(m), _strip_projectives(n)):
+        return False, None
+    left, right = ([s for s in summands(x) if not is_projective(s[0])] for x in (m, n))
+    f_mor, g_mor = assemble(m, n, left, right)
+    if not _stably_inverse(f_mor, g_mor, _space_cache(m, m), _space_cache(n, n)):
+        raise CertificateError("witness built from matched summands is not inverse")
+    return True, (f_mor, g_mor)
 
 
 class StableEndAlgebra(exactla.StructureAlgebra):

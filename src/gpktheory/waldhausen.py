@@ -49,21 +49,19 @@ from .rep import (
     _invariant_battery,
     block_diag,
     cokernel,
-    decompose,
     descend,
     direct_sum,
     hom_basis,
     hom_dim,
     identity_morphism,
     is_isomorphic,
-    is_projective,
     projective,
     pushout,
     quotient_stack,
     zero_morphism,
     zero_rep,
 )
-from .stable import _solve_stable_inverse, _space_cache
+from .stable import _solve_stable_inverse, _space_cache, _strip_projectives
 
 ITEM_MULT_CAP = 4
 DIM_FACTOR = 8
@@ -135,9 +133,7 @@ def _weak_class(data: FiniteWaldhausenData, rep: Representation):
 def _classify_by_decomposition(data: FiniteWaldhausenData, rep: Representation):
     items = data.catalog.items
     mults = [0] * len(items)
-    for part, mult in decompose(rep):
-        if part.is_zero or is_projective(part):
-            continue
+    for part, mult in _strip_projectives(rep):
         for i, item in enumerate(items):
             ok, _ = is_isomorphic(part, item)
             if ok:

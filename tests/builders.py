@@ -182,6 +182,36 @@ def reference_find_isomorphism(m, n):
     return None, None
 
 
+def stable_witness_reference(m, n):
+    """(f, g) mutually inverse stable morphisms m -> n -> m, or None: a
+    search for a stable witness, the reference that reaches the answer of
+    `stable.is_weakly_equivalent` without decomposing.
+
+    Candidates are the zero map, then one coset representative per line of
+    the stable Hom, from `coeff_vectors`: stable invertibility of f depends
+    only on its stable class, and f and c*f (c != 0) are invertible
+    together, so the search is complete.  Each candidate is solved
+    linearly for its stable inverse.  A stable Hom past the exhaustive cap
+    raises ValueError."""
+    from itertools import chain
+
+    from gpktheory.exactla import coeff_vectors
+    from gpktheory.rep import HomSpace
+    from gpktheory.stable import _solve_stable_inverse, _space_cache
+
+    fwd, back = _space_cache(m, n), _space_cache(n, m)
+    end_m, end_n = _space_cache(m, m), _space_cache(n, n)
+    coeffs, exhaustive = coeff_vectors(m.field, fwd.dim)
+    if not exhaustive:
+        raise ValueError(f"stable Hom of dimension {fwd.dim} is past the exhaustive cap")
+    coset = HomSpace(m, n, tuple(fwd.coset_basis()))
+    for cand in chain([zero_morphism(m, n)], map(coset.element, coeffs)):
+        g = _solve_stable_inverse(cand, end_m, end_n, back)
+        if g is not None:
+            return cand, g
+    return None
+
+
 def reference_k0_harvest(a, catalog):
     """The K0 relation harvest as it ran apart from the catalog, kept as a
     reference for the rows gp_catalog records.

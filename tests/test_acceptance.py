@@ -28,15 +28,13 @@ from gpktheory.morita import (
 from gpktheory.presentation import Quiver, build_algebra
 from gpktheory.rep import (
     cyclic_module,
-    decompose,
     direct_sum,
-    is_isomorphic,
+    identity_morphism,
     is_projective,
     projective,
     simple,
-    zero_rep,
 )
-from gpktheory.stable import is_weakly_equivalent
+from gpktheory.stable import is_weakly_equivalent, stable_hom
 from gpktheory.waldhausen import (
     gluing_check,
     k0_oracle,
@@ -44,7 +42,15 @@ from gpktheory.waldhausen import (
     sample_s3_flags,
 )
 
-from builders import alg61a, alg61b, alg62a, alg62b, cached_wdata, loop_square_zero
+from builders import (
+    alg61a,
+    alg61b,
+    alg62a,
+    alg62b,
+    cached_wdata,
+    loop_square_zero,
+    stable_witness_reference,
+)
 
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
@@ -196,17 +202,16 @@ def test_acceptance_k0_routes_agree():
 
 
 # ---------------------------------------------------------------------------
-# stable isomorphism by witness vs projective-summand stripping, 200 pairs
+# stable isomorphism by Krull-Schmidt vs an exhaustive witness search, 200 pairs
 
 
-def _strip_projective_summands(x):
-    parts = [(r, m) for r, m in decompose(x) if not is_projective(r)]
-    if not parts:
-        return zero_rep(x.algebra)
-    summands = []
-    for r, m in parts:
-        summands.extend([r] * m)
-    return direct_sum(summands)[0]
+def _stably_identity(h):
+    """Whether an endomorphism h of x is the identity modulo maps through
+    projectives, read on the stable Hom of `stable_hom(x, x)`: when that
+    space is zero, every endomorphism is."""
+    x = h.domain
+    dim, basis = stable_hom(x, x)
+    return dim == 0 or basis[0].space.is_stably_zero(h.sub(identity_morphism(x)))
 
 
 def test_acceptance_witness_agrees_with_stripping():
@@ -215,25 +220,28 @@ def test_acceptance_witness_agrees_with_stripping():
     cat = gp_catalog(a)
     pool = list(cat.items) + [projective(a, v) for v in a.quiver.vertices]
     rng = Random(2024)
-    disagreements = 0
+    disagreements = not_inverse = 0
     for trial in range(200):
         left = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(1, 4))]
         right = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(1, 4))]
         x = direct_sum(left)[0]
         y = direct_sum(right)[0]
-        by_witness, _ = is_weakly_equivalent(x, y, seed=trial)
-        by_stripping, _ = is_isomorphic(
-            _strip_projective_summands(x), _strip_projective_summands(y)
-        )
-        if by_witness != by_stripping:
+        by_stripping, witness = is_weakly_equivalent(x, y)
+        by_search = stable_witness_reference(x, y) is not None
+        if by_stripping != by_search:
             disagreements += 1
             if disagreements <= 3:
                 failures.append(
-                    f"trial {trial}: witness route says {by_witness}, "
-                    f"stripping route says {by_stripping}"
+                    f"trial {trial}: stripping route says {by_stripping}, "
+                    f"witness search says {by_search}"
                 )
+        if by_stripping:
+            f, g = witness
+            if not (_stably_identity(g.compose(f)) and _stably_identity(f.compose(g))):
+                not_inverse += 1
     _check(failures, disagreements == 0, f"{disagreements} disagreements in 200 pairs")
-    _report("stable isomorphism: witness route vs stripping route, 200 pairs", failures)
+    _check(failures, not_inverse == 0, f"{not_inverse} witnesses not stably inverse")
+    _report("stable isomorphism: stripping route vs witness search, 200 pairs", failures)
 
 
 # ---------------------------------------------------------------------------

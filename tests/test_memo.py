@@ -17,6 +17,7 @@ from gpktheory.ktheory import build_k0_input, k0_gorenstein, k1_gorenstein
 from gpktheory.presentation import FiniteDimAlgebra
 from gpktheory.rep import (
     Representation,
+    cyclic_module,
     decompose,
     direct_sum,
     ext1_class_reps,
@@ -287,10 +288,10 @@ def test_weak_equivalence_answers_match_the_uncached_search(monkeypatch, make):
     rng = Random(f"stable/{make.__name__}")
     modules = seeded_sums(a, rng)
     modules += [_copy(m) for m in modules]
-    for seed, x in enumerate(modules):
+    for x in modules:
         for y in modules:
-            ref_ok, ref_wit = _uncached(monkeypatch, is_weakly_equivalent, x, y, seed)
-            ok, wit = is_weakly_equivalent(x, y, seed)
+            ref_ok, ref_wit = _uncached(monkeypatch, is_weakly_equivalent, x, y)
+            ok, wit = is_weakly_equivalent(x, y)
             assert ok == ref_ok
             if not ok:
                 assert wit is None
@@ -312,3 +313,17 @@ def test_equal_bytes_over_another_algebra_still_raise():
     with pytest.raises(ValueError, match="different algebras"):
         _space_cache(other, m)
     assert "stable_spaces" not in b._caches
+
+
+@pytest.mark.parametrize("fields", [(5, 5), (3, 5)], ids=["two-copies", "gf3-gf5"])
+def test_isomorphy_tests_over_another_algebra_raise(fields):
+    """`is_isomorphic` and `is_weakly_equivalent` refuse modules over two
+    algebras, in either order: two builds of one algebra, or one algebra
+    over GF(3) and over GF(5)."""
+    a, b = (alg61a(FieldSpec(p)) for p in fields)
+    m = cyclic_module(a, a.element_from_str("b*a"))[0]
+    n = cyclic_module(b, b.element_from_str("b*a"))[0]
+    for test in (is_isomorphic, is_weakly_equivalent):
+        for x, y in ((m, n), (n, m)):
+            with pytest.raises(ValueError, match="different algebras"):
+                test(x, y)

@@ -4,8 +4,9 @@ exhaustive-or-sampled policy), per-algebra caches go through the one
 memo, README's module table names every memo site, no module assigns a
 dict, list or set at module level, each module-map primitive has one
 definition, in rep.py, every field is GF(p): nothing imports
-`fractions` and no `.char` is read as a truth value, and only
-waldhausen.py uses the sampled isomorphism search."""
+`fractions` and no `.char` is read as a truth value, only waldhausen.py
+uses the sampled isomorphism search, and stable.py uses no coefficient
+search."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,12 @@ SRC = ROOT / "src" / "gpktheory"
 def _trees():
     for path in sorted(SRC.glob("*.py")):
         yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced_name(node):
+    """The name a Name, Attribute or import alias node refers to, else None."""
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+    return getattr(node, field) if field else None
 
 
 def _names(node):
@@ -163,12 +170,24 @@ def test_only_waldhausen_uses_the_sampled_isomorphism_search():
     a miss says nothing.  Apart from its definition only waldhausen.py
     names it: `rep.is_isomorphic` and `stable.is_weakly_equivalent` build
     their witnesses from the summands' split maps."""
-    name_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _trees()
         if name != "waldhausen.py"
         for node in ast.walk(tree)
-        if getattr(node, name_of.get(type(node), ""), None) == "_find_isomorphism"
+        if _referenced_name(node) == "_find_isomorphism"
     ]
     assert not found, f"_find_isomorphism referenced outside waldhausen.py: {found}"
+
+
+def test_stable_isomorphism_rests_on_no_search():
+    """`stable.is_weakly_equivalent` decides by Krull-Schmidt on certified
+    decompositions, so stable.py names neither coefficient search."""
+    tree = ast.parse((SRC / "stable.py").read_text())
+    searches = {"coeff_vectors", "sampled_coeff_vectors"}
+    found = [
+        f"stable.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if _referenced_name(node) in searches
+    ]
+    assert not found, f"a coefficient search in stable.py: {found}"

@@ -177,8 +177,8 @@ def test_cokernel_choice_is_irrelevant():
 
 
 def test_pushout_along_isomorphism():
-    a = loop_square_zero(GF2)
     data = cached_wdata("kx2_gf2")
+    a = data.algebra
     soc = [
         c
         for c in data.cofibrations
