@@ -380,7 +380,11 @@ def transpose(m: Bimodule) -> Bimodule:
 
 
 def _kron(f, x, y):
-    return np.kron(x, y) % f.char
+    """The Kronecker product x (x) y mod p, by one broadcast product: entry
+    (i, k, j, l) of the 4-d product is x[i, j] * y[k, l], which the reshape
+    puts at (i * rows(y) + k, j * cols(y) + l)."""
+    (rx, cx), (ry, cy) = x.shape, y.shape
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(rx * ry, cx * cy) % f.char
 
 
 def tensor_bimodules(m: Bimodule, n: Bimodule) -> Bimodule:

@@ -64,10 +64,18 @@ class Representation:
         return self.total_dim == 0
 
     def path_matrix(self, p: Path) -> np.ndarray:
-        """Matrix of the path action (arrows applied left to right in p.arrows)."""
+        """Matrix of the path action (arrows applied left to right in p.arrows).
+
+        The trivial path gives the identity; a length-1 path gives the
+        stored map itself, not a copy, so callers must not write to the
+        result (`_check_relations` and `projective_cover` only read it).
+        """
         f = self.field
-        cur = f.eye(self.dims[p.source])
-        for lab in p.arrows:
+        if not p.arrows:
+            return f.eye(self.dims[p.source])
+        first, *rest = p.arrows
+        cur = self.maps[first]
+        for lab in rest:
             cur = f.matmul(self.maps[lab], cur)
         return cur
 
@@ -83,16 +91,18 @@ class Representation:
         return "dim " + repr(self.dim_vector)
 
     def _check_relations(self):
+        """Each relation's terms summed and reduced mod p once: every term
+        is below p^2 < 2^32, so the int64 sum is exact.  A relation whose
+        source or target has dimension 0 holds trivially."""
         f = self.field
         for r in self.algebra.relations:
             if not r.terms:
                 continue
-            src = r.terms[0][1].source
-            tgt = r.terms[0][1].target
-            acc = f.zeros((self.dims[tgt], self.dims[src]))
-            for c, p in r.terms:
-                acc = f.add(acc, f.scale(c, self.path_matrix(p)))
-            if np.any(acc != 0):
+            first = r.terms[0][1]
+            if self.dims[first.source] == 0 or self.dims[first.target] == 0:
+                continue
+            acc = sum(f.canon(c) * self.path_matrix(p) for c, p in r.terms)
+            if (acc % f.char).any():
                 raise ValueError(f"relation {r} not satisfied")
 
 

@@ -1,9 +1,11 @@
 """Bimodules, balanced tensor products, and Morita-type certification."""
 
 import gc
+import hashlib
 import weakref
 from random import Random
 
+import numpy as np
 import pytest
 
 from gpktheory import morita
@@ -158,6 +160,51 @@ def test_module_wrap_round_trip():
     x = direct_sum([projective(a, "1"), simple(a, "2")])[0]
     back = module_from_bimodule(bimodule_from_module(x))
     assert back.key() == x.key()
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_kron_matches_numpy_kron(p):
+    """`morita._kron` equals np.kron(x, y) % p byte for byte, on seeded
+    shapes with zero rows or columns and on identity factors."""
+    f = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 2), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+    factors = [rng.integers(0, p, size=s, dtype=np.int64) for s in shapes]
+    factors += [f.eye(n) for n in (0, 1, 3)]
+    for x in factors:
+        for y in factors:
+            got = morita._kron(f, x, y)
+            want = np.kron(x, y) % p
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _tensor_digest(a):
+    """sha256 over the keys of reg (x) reg, of reg (x) x for every simple and
+    projective x, and of both complements check_semt(reg, reg) returns."""
+    reg = regular_bimodule(a)
+    xs = [simple(a, v) for v in a.quiver.vertices] + [projective(a, v) for v in a.quiver.vertices]
+    report = check_semt(reg, reg)
+    h = hashlib.sha256()
+    for r in [tensor_bimodules(reg, reg).rep, *(tensor(reg, x) for x in xs),
+              report.p.rep, report.q.rep]:
+        h.update(r.key() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build,field,digest",
+    [
+        (loop_square_zero, GF2, "fb0350236cc9c8fd50bf6f9188a5896d14a43281f52ce21992b6cd38990b2c51"),
+        (arrow_algebra, GF3, "3a7188fbf05177026124781255061b5762d951e86c18491f81e30cd3b3eeaec4"),
+        (alg61b, GF3, "50a3f908699962dd6b00d708e93a2fb1bfa23afba1aef9b5ed82bd71559629d1"),
+    ],
+    ids=["kx2-GF2", "A2-GF3", "61B-GF3"],
+)
+def test_tensor_products_are_pinned_byte_for_byte(build, field, digest):
+    """The balanced tensor products and SEMT complements of the regular
+    bimodule keep the bytes they had when built with np.kron."""
+    assert _tensor_digest(build(field)) == digest
 
 
 def test_tensor_identity_on_bimodules():

@@ -8,7 +8,8 @@ import pytest
 from gpktheory import exactla, rep, waldhausen
 from gpktheory.exactla import CertificateError, FieldSpec, is_exhaustive
 from gpktheory.gorenstein import gp_catalog
-from gpktheory.presentation import Quiver, build_algebra, opposite
+from gpktheory.morita import tensor_algebra
+from gpktheory.presentation import Quiver, build_algebra, opposite, path_from_written, trivial_path
 from gpktheory.rep import (
     HomSpace,
     cyclic_module,
@@ -574,6 +575,48 @@ def test_hom_system_matches_the_kron_formula(p):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 checked += got.size > 0
     assert checked > 50
+
+
+def test_relation_check_rejects_a_broken_zero_relation():
+    """x*x = 0 in kx2: a Jordan block of size 3 breaks it in one entry, the
+    corner of the last column."""
+    a = loop_square_zero(GF3)
+    Representation(a, {"1": 2}, {"x": [[0, 1], [0, 0]]}, check=True)
+    with pytest.raises(ValueError, match="not satisfied"):
+        Representation(a, {"1": 3}, {"x": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}, check=True)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, FieldSpec(65521)], ids=lambda f: f.label)
+def test_relation_check_rejects_noncommuting_actions(field):
+    """Over kx2 (x) kx2 the left and right actions of x must commute: two
+    multiples of one square-zero map pass, a square-zero map and its
+    transpose do not."""
+    t = tensor_algebra(loop_square_zero(field), loop_square_zero(field))
+    left, right = sorted(ar.label for ar in t.quiver.arrows)
+    top = field.char - 1
+    Representation(t, {"1.1": 2}, {left: [[0, top], [0, 0]], right: [[0, 2], [0, 0]]})
+    with pytest.raises(ValueError, match="not satisfied"):
+        Representation(t, {"1.1": 2}, {left: [[0, 1], [0, 0]], right: [[0, 0], [1, 0]]})
+
+
+def test_relation_check_passes_a_module_zero_at_the_source():
+    """61B with nothing at vertex 1: the relations starting there (y*x,
+    z*x) have empty matrices and hold; the others are still checked."""
+    a = alg61b(GF3)
+    Representation(a, {"2": 1}, {"z": [[0]]}, check=True)
+    with pytest.raises(ValueError, match="not satisfied"):
+        Representation(a, {"2": 1}, {"z": [[1]]}, check=True)
+
+
+def test_path_matrix_of_trivial_and_length_two_paths():
+    a = alg61b(GF3)
+    m = projective(a, "2")
+    for v in a.quiver.vertices:
+        assert (m.path_matrix(trivial_path(v)) == GF3.eye(m.dims[v])).all()
+    xy = path_from_written(a.quiver, ["x", "y"])
+    want = GF3.matmul(m.maps["x"], m.maps["y"])
+    got = m.path_matrix(xy)
+    assert got.shape == want.shape and (got == want).all()
 
 
 def test_zero_module_edges():

@@ -5,8 +5,8 @@ memo, README's module table names every memo site, no module assigns a
 dict, list or set at module level, each module-map primitive has one
 definition, in rep.py, every field is GF(p): nothing imports
 `fractions` and no `.char` is read as a truth value, only waldhausen.py
-uses the sampled isomorphism search, and stable.py uses no coefficient
-search."""
+uses the sampled isomorphism search, stable.py uses no coefficient
+search, and no module names numpy's kron."""
 
 import ast
 from pathlib import Path
@@ -191,3 +191,16 @@ def test_stable_isomorphism_rests_on_no_search():
         if _referenced_name(node) in searches
     ]
     assert not found, f"a coefficient search in stable.py: {found}"
+
+
+def test_no_numpy_kron_in_the_package():
+    """`morita._kron` (one broadcast product) and `rep._hom_system` (views
+    filled in place) are the only Kronecker builders: no module names
+    np.kron or numpy.kron, by attribute or by import."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if _referenced_name(node) == "kron"
+    ]
+    assert not found, f"kron referenced in src/gpktheory: {found}"
