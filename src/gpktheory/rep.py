@@ -915,7 +915,7 @@ def is_isomorphic(m: Representation, n: Representation):
         witness = next((b for b in hom_basis(m, n).basis if b.is_iso()), None)
         if witness is None and len(_decompose_rec(m)) > 1 and match_summands(
                 decompose(m), decompose(n)):
-            witness = assemble(m, n, summands(m), summands(n))[0].verify()
+            witness = assemble(m, n, pair_summands(summands(m), summands(n))).verify()
             if not witness.is_iso():
                 raise CertificateError("map assembled from matched summands is not invertible")
         return None if witness is None else witness.blocks
@@ -993,25 +993,32 @@ def summands(m: Representation):
     return [(x, incl, Morphism(m, x, proj)) for (x, incl), proj in zip(parts, projs)]
 
 
-def assemble(m: Representation, n: Representation, left, right):
-    """(f: m -> n, g: n -> m) from `summands` triples of m (left) and of n
-    (right): each piece x is paired with the first unused piece y that is
-    isomorphic to it, w: x -> y the `is_isomorphic` witness, and f sums
-    incl_y w proj_x, g sums incl_x w^-1 proj_y.  Callers certify f and g."""
-    f, g = zero_morphism(m, n), zero_morphism(n, m)
-    used = set()
-    for x, incl_x, proj_x in left:
-        for j, (y, incl_y, proj_y) in enumerate(right):
+def pair_summands(left, right):
+    """[(x, y, w)] for `summands` triples of m (left) and of n (right): each
+    triple x is paired with the first unused triple y whose piece is
+    isomorphic to x's, w the `is_isomorphic` witness between the pieces.  A
+    piece with no partner raises CertificateError."""
+    pairs, used = [], set()
+    for x in left:
+        for j, y in enumerate(right):
             if j not in used:
-                ok, w = is_isomorphic(x, y)
+                ok, w = is_isomorphic(x[0], y[0])
                 if ok:
                     break
         else:
             raise CertificateError("a summand has no isomorphic partner")
         used.add(j)
-        f = f.add(incl_y.compose(w).compose(proj_x))
-        g = g.add(incl_x.compose(w.inverse()).compose(proj_y))
-    return f, g
+        pairs.append((x, y, w))
+    return pairs
+
+
+def assemble(m: Representation, n: Representation, pairs):
+    """The map m -> n that sums incl_y w proj_x over `pair_summands` pairs;
+    the pairs (y, x, w^-1) assemble the map back.  Callers certify it."""
+    out = zero_morphism(m, n)
+    for (_, _, proj_x), (_, incl_y, _), w in pairs:
+        out = out.add(incl_y.compose(w).compose(proj_x))
+    return out
 
 
 def match_summands(left, right) -> bool:

@@ -182,6 +182,39 @@ def reference_find_isomorphism(m, n):
     return None, None
 
 
+def reference_assemble(m, n, left, right):
+    """(f: m -> n, g: n -> m) summed in one pass over `summands` triples of
+    m (left) and of n (right), as `rep.assemble` built both maps before the
+    map back was split off: each piece x takes the first unused piece y
+    isomorphic to it, w the `is_isomorphic` witness, f sums
+    incl_y w proj_x and g sums incl_x w^-1 proj_y."""
+    from gpktheory.rep import is_isomorphic
+
+    f, g = zero_morphism(m, n), zero_morphism(n, m)
+    used = set()
+    for x, incl_x, proj_x in left:
+        for j, (y, incl_y, proj_y) in enumerate(right):
+            if j not in used:
+                ok, w = is_isomorphic(x, y)
+                if ok:
+                    break
+        used.add(j)
+        f = f.add(incl_y.compose(w).compose(proj_x))
+        g = g.add(incl_x.compose(w.inverse()).compose(proj_y))
+    return f, g
+
+
+def reference_is_stable_iso(f):
+    """Stable invertibility of f: m -> n by the linear solve alone, with no
+    certificate: the route `stable.is_stable_iso` falls back to."""
+    from gpktheory.rep import hom_basis
+    from gpktheory.stable import _solve_stable_inverse, _space_cache
+
+    m, n = f.domain, f.codomain
+    back = hom_basis(n, m)
+    return _solve_stable_inverse(f, _space_cache(m, m), _space_cache(n, n), back) is not None
+
+
 def stable_witness_reference(m, n):
     """(f, g) mutually inverse stable morphisms m -> n -> m, or None: a
     search for a stable witness, the reference that reaches the answer of
@@ -206,7 +239,7 @@ def stable_witness_reference(m, n):
         raise ValueError(f"stable Hom of dimension {fwd.dim} is past the exhaustive cap")
     coset = HomSpace(m, n, tuple(fwd.coset_basis()))
     for cand in chain([zero_morphism(m, n)], map(coset.element, coeffs)):
-        g = _solve_stable_inverse(cand, end_m, end_n, back)
+        g = _solve_stable_inverse(cand, end_m, end_n, back.hom)
         if g is not None:
             return cand, g
     return None
@@ -287,6 +320,7 @@ def cached_wdata(name):
             "kx2_gf2": (lambda: loop_square_zero(FieldSpec(2)), 2),
             "semisimple2_gf2": (lambda: semisimple_two(FieldSpec(2)), 2),
             "61a_gf5": (lambda: alg61a(FieldSpec(5)), 2),
+            "kx2_gf2_d1": (lambda: loop_square_zero(FieldSpec(2)), 1),
             "61b_gf3_d1": (lambda: alg61b(FieldSpec(3)), 1),
             "62a_gf3": (lambda: alg62a(FieldSpec(3)), 2),
         }

@@ -516,7 +516,8 @@ def test_ktheory_tests_pass_under_python_O():
         for name in ("test_verify_exact_rejects_non_exact_pairs",
                      "test_stacked_exactness_certificate_rejects_broken_members",
                      "test_summand_missing_from_the_catalog_is_a_certificate_error",
-                     "test_unknown_catalog_rejected")
+                     "test_unknown_catalog_rejected",
+                     "test_gluing_ladders_are_certified_without_a_solve")
     ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",

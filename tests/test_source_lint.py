@@ -5,8 +5,9 @@ memo, README's module table names every memo site, no module assigns a
 dict, list or set at module level, each module-map primitive has one
 definition, in rep.py, every field is GF(p): nothing imports
 `fractions` and no `.char` is read as a truth value, only waldhausen.py
-uses the sampled isomorphism search, stable.py uses no coefficient
-search, and no module names numpy's kron."""
+uses the sampled isomorphism search, only stable.py names the stable
+inverse solve, stable.py uses no coefficient search, and no module names
+numpy's kron."""
 
 import ast
 from pathlib import Path
@@ -178,6 +179,22 @@ def test_only_waldhausen_uses_the_sampled_isomorphism_search():
         if _referenced_name(node) == "_find_isomorphism"
     ]
     assert not found, f"_find_isomorphism referenced outside waldhausen.py: {found}"
+
+
+def test_only_stable_names_the_stable_inverse_solve():
+    """Whether a map is a stable isomorphism is asked of
+    `stable.is_stable_iso`, which tries its split-cokernel certificate
+    before the linear solve: apart from stable.py no module names
+    `_solve_stable_inverse` or the stable Hom memo `_space_cache`."""
+    private = {"_solve_stable_inverse", "_space_cache"}
+    found = [
+        f"{name}:{node.lineno} {_referenced_name(node)}"
+        for name, tree in _trees()
+        if name != "stable.py"
+        for node in ast.walk(tree)
+        if _referenced_name(node) in private
+    ]
+    assert not found, f"stable-inverse internals named outside stable.py: {found}"
 
 
 def test_stable_isomorphism_rests_on_no_search():

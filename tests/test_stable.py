@@ -6,15 +6,22 @@ import pytest
 
 from gpktheory import exactla, stable
 from gpktheory.exactla import FieldSpec
+from gpktheory.gorenstein import gp_catalog
 from gpktheory.rep import (
     Representation,
+    assemble,
     cyclic_module,
     direct_sum,
     identity_morphism,
+    is_projective,
+    kernel_subrep,
+    pair_summands,
     projective,
     projective_cover,
     simple,
+    summands,
     syzygy,
+    zero_morphism,
     zero_rep,
 )
 from gpktheory.stable import (
@@ -33,8 +40,11 @@ from builders import (
     every_coeff_vector,
     loop_square_zero,
     nakayama,
+    reference_assemble,
+    reference_is_stable_iso,
     seeded_sums,
     stable_witness_reference,
+    twisted,
 )
 
 GF3 = FieldSpec(3)
@@ -232,3 +242,71 @@ def test_weak_equivalence_answers_do_not_depend_on_the_exhaustive_cap(monkeypatc
         assert ok == want_ok
         for got, ref in zip(wit or (), want_wit or ()):
             assert all((got.blocks[v] == ref.blocks[v]).all() for v in ref.blocks)
+
+
+def _same_blocks(f, g):
+    return f.domain is g.domain and f.codomain is g.codomain and all(
+        (f.blocks[v] == g.blocks[v]).all() for v in g.blocks
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_assembled_witnesses_match_the_one_pass_reference(p):
+    """On seeded decomposable pairs x, twisted(x): the map `assemble` sums
+    over `pair_summands`, and the map back from the reversed pairs, equal
+    block for block the pair that `reference_assemble` sums in one pass,
+    over all summands (the `rep.is_isomorphic` witness) and over the
+    non-projective ones, whose pair is the `is_weakly_equivalent` witness."""
+    field = FieldSpec(p)
+    for make in (alg61a, alg61b):
+        a = make(field)
+        rng = Random(f"assemble/{make.__name__}/{p}")
+        for x in seeded_sums(a, rng):
+            y = twisted(x, rng)
+            assert len(summands(x)) > 1
+            for stripped in (False, True):
+                left, right = (
+                    [s for s in summands(z) if not (stripped and is_projective(s[0]))]
+                    for z in (x, y)
+                )
+                pairs = pair_summands(left, right)
+                want_f, want_g = reference_assemble(x, y, left, right)
+                assert _same_blocks(assemble(x, y, pairs), want_f)
+                assert _same_blocks(assemble(y, x, [(v, u, w.inverse()) for u, v, w in pairs]), want_g)
+            ok, (f, g) = is_weakly_equivalent(x, y)
+            assert ok and _same_blocks(f, want_f) and _same_blocks(g, want_g)
+
+
+def _stable_iso_cases(a):
+    """(map, stable iso?, solved?) for each catalog item G of a and vertex v:
+    the identity of G and the inclusion G -> G + P(v), monos with a
+    projective cokernel; the projection G + P(v) -> G, a stable iso that is
+    not mono; the syzygy inclusion Omega G -> P(G), a mono whose cokernel G
+    is not projective; and the zero endomorphism of G."""
+    cases = []
+    for g in gp_catalog(a).items:
+        cases.append((identity_morphism(g), True, False))
+        for v in a.quiver.vertices:
+            _, injs, projs = direct_sum([g, projective(a, v)])
+            cases += [(injs[0], True, False), (projs[0], True, True)]
+        cases.append((kernel_subrep(projective_cover(g)[1])[1], False, True))
+        cases.append((zero_morphism(g, g), False, True))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("make", [loop_square_zero, alg61b])
+def test_is_stable_iso_agrees_with_the_solve(monkeypatch, make, p):
+    """`is_stable_iso` answers as the solve-only route on every case, and
+    solves exactly where the split-cokernel certificate does not apply."""
+    a = make(FieldSpec(p))
+    cases = _stable_iso_cases(a)
+    assert not any(is_projective(g) for g in gp_catalog(a).items)
+    solves = []
+    solve = stable._solve_stable_inverse
+    monkeypatch.setattr(stable, "_solve_stable_inverse", lambda *args: solves.append(args) or solve(*args))
+    for f, want, solved in cases:
+        solves.clear()
+        assert stable.is_stable_iso(f) == want
+        assert len(solves) == solved
+        assert reference_is_stable_iso(f) == want

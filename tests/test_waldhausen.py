@@ -18,9 +18,10 @@ from builders import (
     loop_square_zero,
     random_matrix,
     reference_find_isomorphism,
+    reference_is_stable_iso,
     semisimple_two,
 )
-from gpktheory import exactla, waldhausen
+from gpktheory import exactla, stable, waldhausen
 from gpktheory.exactla import CertificateError, FieldSpec
 from gpktheory.gorenstein import gp_catalog
 from gpktheory.ktheory import CatalogUnknown, k0_gorenstein
@@ -225,6 +226,27 @@ def test_gluing_check_counts_only_non_gp_pushouts(monkeypatch):
         m.setattr(waldhausen, "_weak_class", broken)
         with pytest.raises(CertificateError, match="missing from the catalog"):
             gluing_check(data, trials=3, seed=11)
+
+
+@pytest.mark.parametrize("name", ["kx2_gf2_d1", "61b_gf3_d1"])
+def test_gluing_ladders_are_certified_without_a_solve(monkeypatch, name):
+    """Every ladder's induced map is a mono with a projective cokernel, so
+    `stable.is_stable_iso` never falls back to its linear solve, and the
+    reports equal those of the solve-only decision."""
+    data = cached_wdata(name)
+    solves = []
+    solve = stable._solve_stable_inverse
+    with monkeypatch.context() as m:
+        m.setattr(stable, "_solve_stable_inverse", lambda *args: solves.append(args) or solve(*args))
+        got = [gluing_check(data, trials=12, seed=s) for s in (3, 4)]
+    assert solves == []
+    with monkeypatch.context() as m:
+        m.setattr(waldhausen, "is_stable_iso", reference_is_stable_iso)
+        want = [gluing_check(data, trials=12, seed=s) for s in (3, 4)]
+    assert [(r.trials, r.counterexamples, r.notes) for r in got] == [
+        (r.trials, r.counterexamples, r.notes) for r in want
+    ]
+    assert all(r.ok for r in got)
 
 
 def test_s3_face_identities_hold():
